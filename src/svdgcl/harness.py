@@ -62,6 +62,11 @@ _FIELD_TYPES = {
 }
 
 _OPTIONAL_PATHS = ("val_path", "log_path")
+_PATH_FIELDS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
+
+# cl_scope="full-population" contrasts every user and every item at once; its
+# two m x m float64 buffers (16 * m**2 bytes for the larger side) must fit here
+FULL_POPULATION_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
@@ -94,6 +99,17 @@ class RunConfig:
     patience: int = 20
 
     def __post_init__(self):
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                value = os.fspath(value)
+            except TypeError:
+                value = None
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
+            setattr(self, name, value)
         if self.eval_every < 1:
             raise ConfigError("eval_every must be at least 1")
         if self.patience < 1:
@@ -254,7 +270,7 @@ def _primary_k(ks) -> int:
 def run_training(config: RunConfig) -> TrainResult:
     """Full training pipeline, early-stopped on validation recall.
 
-    The graph factorization runs exactly once per call (asserted); with
+    The graph factorization runs exactly once per call (checked); with
     lambda1 == 0 it is skipped entirely along with the whole global-view
     branch. The best-by-validation checkpoint is what gets evaluated on
     test at the end; without a validation signal the last epoch wins.
@@ -270,6 +286,14 @@ def run_training(config: RunConfig) -> TrainResult:
         val_fraction=config.val_fraction,
         seed=hp.seed,
     )
+    if hp.lambda1 > 0 and hp.cl_scope == "full-population":
+        members = max(ds.num_users, ds.num_items)
+        need = 16 * members**2
+        if need > FULL_POPULATION_BUDGET_BYTES:
+            raise ConfigError(
+                f"cl_scope='full-population' needs {need} bytes for the contrast buffers of {members} "
+                f"members, over the {FULL_POPULATION_BUDGET_BYTES}-byte budget; use cl_scope='in-batch'"
+            )
     a_norm = normalize_adjacency(build_adjacency(ds))
     state = init_model(ds, hp)
     opt = init_optimizer(state)
@@ -278,7 +302,8 @@ def run_training(config: RunConfig) -> TrainResult:
         svd = approx_svd(
             a_norm, hp.svd_rank, oversample=config.svd_oversample, power_iters=config.svd_power_iters, seed=hp.seed
         )
-        assert svd_run_count() == 1, "the factorization must run exactly once"
+        if svd_run_count() != 1:
+            raise RuntimeError(f"the factorization must run exactly once, ran {svd_run_count()} times")
 
     ks = sorted(set(config.eval_ks))
     primary = _primary_k(ks)
@@ -342,7 +367,10 @@ def run_training(config: RunConfig) -> TrainResult:
     test_result = evaluate(state, a_norm, svd, ds, ks, split="test")
     _log_eval(epochs_run, test_result, ks)
     expected_runs = 1 if hp.lambda1 > 0 else 0
-    assert svd_run_count() == expected_runs, "the factorization count drifted during the run"
+    if svd_run_count() != expected_runs:
+        raise RuntimeError(
+            f"the factorization count drifted during the run: {svd_run_count()} runs, expected {expected_runs}"
+        )
     return TrainResult(
         test_result=test_result,
         best_epoch=best_epoch,

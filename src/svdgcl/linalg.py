@@ -21,7 +21,7 @@ logger = logging.getLogger("svdgcl.linalg")
 MAX_EXACT_SVD_DIM = 500
 
 # how many truncated factorizations ran since the last reset; the training
-# harness asserts this stays at exactly one per run
+# harness checks this stays at exactly one per run
 _svd_runs = 0
 
 

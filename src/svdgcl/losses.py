@@ -8,6 +8,9 @@ The contrastive term's similarity and softmax matrices dominate the step
 cost on real data, so the training loop uses loss_and_grads, which builds
 them once and reads both the loss value and its gradients off the same
 intermediates; total_loss and backward are thin views of the same code.
+Each contrast layer holds two m x m buffers, the similarities and one work
+buffer that is overwritten in place from logits through softmax to the
+similarity gradient, instead of a fresh matrix per formula.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
 from scipy.special import expit
 
 from .errors import DataError
@@ -116,6 +120,18 @@ def sample_batch(ds, batch_size: int, rng: np.random.Generator) -> TrainBatch:
     return TrainBatch(users=users, pos_items=pos, neg_items=neg)
 
 
+def _scatter_rows(dest: np.ndarray, weights: np.ndarray, src: np.ndarray, table: np.ndarray, rows: int):
+    """Dense (rows, d) array whose row r sums weights[n] * table[src[n]]
+    over the n with dest[n] == r.
+
+    One COO product. It rounds each product before adding it and adds the
+    terms in increasing n starting from zero, so the result is bit for bit
+    that of np.add.at(zeros, dest, weights[:, None] * table[src]), without
+    the (n, d) temporary.
+    """
+    return coo_array((weights, (dest, src)), shape=(rows, table.shape[0])) @ table
+
+
 def _margins(trace: ForwardTrace, batch: TrainBatch) -> np.ndarray:
     fu = trace.final_user[batch.users]
     return np.einsum("ij,ij->i", fu, trace.final_item[batch.pos_items]) - np.einsum(
@@ -146,25 +162,35 @@ def _infonce_layer(z: np.ndarray, g: np.ndarray, members: np.ndarray, tau: float
     averaging, no weighting); ga/gb are d(loss_sum)/d(z rows), d/d(g rows)
     restricted to the member rows, or None when grads were not asked for.
     Zero-norm rows contribute similarity 0 and receive zero gradient.
+
+    At most two m x m buffers live at once: s, the cosine similarities, and
+    w, which is overwritten in place as the logits s/tau, then
+    exp(logits - peak), then the softmax p, then ds = (p - I)/tau. The
+    identity is subtracted on w's strided diagonal, and ds*s is formed in
+    s's buffer once s has no other reader. Each elementwise step and
+    reduction is the textbook one on the same operands in the same order,
+    so the float64 results are bit-for-bit those of the unfused formulas.
     """
     m = members.shape[0]
     an, na = _normalize_rows(z[members])
     bn, nb = _normalize_rows(g[members])
     s = an @ bn.T
-    logits = s / tau
-    peak = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - peak)
-    rowsum = e.sum(axis=1, keepdims=True)
+    w = s / tau
+    diag = w.diagonal().copy()
+    peak = w.max(axis=1, keepdims=True)
+    w -= peak
+    np.exp(w, out=w)
+    rowsum = w.sum(axis=1, keepdims=True)
     lse = peak[:, 0] + np.log(rowsum[:, 0])
-    loss_sum = float(np.sum(lse - np.diagonal(logits)))
+    loss_sum = float(np.sum(lse - diag))
     if not want_grads:
         return loss_sum, None, None
-    p = e / rowsum
-    ds = p - np.eye(m)
-    ds /= tau
-    ds_s = ds * s
-    ga = ds @ bn - ds_s.sum(axis=1)[:, None] * an
-    gb = ds.T @ an - ds_s.sum(axis=0)[:, None] * bn
+    w /= rowsum
+    w.flat[:: m + 1] -= 1.0
+    w /= tau
+    s *= w
+    ga = w @ bn - s.sum(axis=1)[:, None] * an
+    gb = w.T @ an - s.sum(axis=0)[:, None] * bn
     na_ok = na > 0
     nb_ok = nb > 0
     ga[na_ok] /= na[na_ok, None]
@@ -282,11 +308,16 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
     coeff = (expit(_margins(trace, batch)) - 1.0) / batch.size
     fu = trace.final_user[batch.users]
     diff = trace.final_item[batch.pos_items] - trace.final_item[batch.neg_items]
-    gfu = np.zeros_like(trace.final_user)
-    gfv = np.zeros_like(trace.final_item)
-    np.add.at(gfu, batch.users, coeff[:, None] * diff)
-    np.add.at(gfv, batch.pos_items, coeff[:, None] * fu)
-    np.add.at(gfv, batch.neg_items, -coeff[:, None] * fu)
+    triple = np.arange(batch.size)
+    gfu = _scatter_rows(batch.users, coeff, triple, diff, state.num_users)
+    # positives, then negatives: the order the item rows accumulate in
+    gfv = _scatter_rows(
+        np.concatenate([batch.pos_items, batch.neg_items]),
+        np.concatenate([coeff, -coeff]),
+        np.concatenate([triple, triple]),
+        fu,
+        state.num_items,
+    )
 
     gu = gfu.copy()
     gv = gfv.copy()

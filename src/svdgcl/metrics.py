@@ -87,7 +87,8 @@ def _metrics_over_users(ds, ks, score_row, split: str = "test") -> EvalResult:
         for k in ks:
             k_eff = min(k, available)
             r = recall_at_k(ranked[:k_eff], relevant)
-            assert r >= prev, "recall must be non-decreasing in the cutoff"
+            if r < prev:
+                raise RuntimeError(f"recall must be non-decreasing in the cutoff: {r} after {prev} at k={k}")
             prev = r
             recall_sums[k] += r
             ndcg_sums[k] += ndcg_at_k(ranked, relevant, k_eff)

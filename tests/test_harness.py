@@ -8,10 +8,13 @@ reload, and the reproducibility contracts.
 import json
 import logging
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from svdgcl import harness
+from svdgcl.checkpoint import load_checkpoint
 from svdgcl.errors import ConfigError, DataError, NumericalError
 from svdgcl.harness import (
     LOG_ENV_VAR,
@@ -101,6 +104,20 @@ class TestRunConfig:
         cfg = RunConfig.from_sources(None, ["log-path=none", "val-path="])
         assert cfg.log_path is None
         assert cfg.val_path is None
+
+    def test_path_objects_coerced_to_str(self, tmp_path):
+        cfg = RunConfig(train_path=tmp_path / "t.txt", checkpoint_dir=tmp_path, log_path=tmp_path / "r.log")
+        assert cfg.train_path == str(tmp_path / "t.txt")
+        assert cfg.checkpoint_dir == str(tmp_path)
+        assert cfg.log_path == str(tmp_path / "r.log")
+        assert cfg.val_path is None
+
+    @pytest.mark.parametrize("field", ["train_path", "test_path", "val_path", "checkpoint_dir", "log_path"])
+    def test_non_path_values_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: 3})
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: b"bytes/path"})
 
 
 class TestLogging:
@@ -272,6 +289,54 @@ class TestTraining:
     def test_missing_paths_rejected(self):
         with pytest.raises(ConfigError, match="required"):
             run_training(RunConfig(epochs=1))
+
+    def test_generated_path_objects_train_and_checkpoint(self, tmp_path):
+        paths = generate_blocks(tmp_path / "data", 12, 12, 2, 0.0, 3)
+        assert all(isinstance(p, Path) for p in paths.values())
+        common = dict(embed_dim=8, epochs=3, eval_every=3, batch_size=256, eval_ks=[3])
+        cfg = RunConfig(
+            train_path=paths["train"],
+            test_path=paths["test"],
+            val_path=paths["val"],
+            checkpoint_dir=tmp_path / "ck",
+            **common,
+        )
+        as_str = RunConfig(
+            train_path=str(paths["train"]),
+            test_path=str(paths["test"]),
+            val_path=str(paths["val"]),
+            checkpoint_dir=str(tmp_path / "ck"),
+            **common,
+        )
+        res = run_training(cfg)
+        assert os.path.exists(res.checkpoint_path)
+        assert cfg.digest() == as_str.digest()
+        assert load_checkpoint(res.checkpoint_path).config_digest == as_str.digest()
+
+    def test_factorization_count_checked(self, tmp_path, monkeypatch):
+        real = harness.approx_svd
+
+        def factorize_twice(*args, **kwargs):
+            real(*args, **kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "approx_svd", factorize_twice)
+        with pytest.raises(RuntimeError, match="exactly once, ran 2 times"):
+            run_training(small_config(tmp_path, epochs=1))
+
+    def test_full_population_over_budget_rejected_before_training(self, tmp_path, monkeypatch):
+        need = 16 * 24**2  # two float64 buffers for 24 members, the larger side
+        monkeypatch.setattr(harness, "FULL_POPULATION_BUDGET_BYTES", need - 1)
+        cfg = small_config(tmp_path, epochs=1, cl_scope="full-population")
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "sample_batch", None)  # a step would raise TypeError
+            with pytest.raises(ConfigError, match=f"needs {need} bytes"):
+                run_training(cfg)
+        # the in-batch scope and a run without the contrast are not limited
+        run_training(small_config(tmp_path, name="ib", epochs=1))
+        run_training(small_config(tmp_path, name="nocl", epochs=1, cl_scope="full-population", lambda1=0.0))
+        monkeypatch.setattr(harness, "FULL_POPULATION_BUDGET_BYTES", need)
+        assert run_training(cfg).epochs_run == 1
 
 
 class TestEval:

@@ -16,6 +16,8 @@ from svdgcl.linalg import approx_svd
 from svdgcl.losses import (
     LossReport,
     TrainBatch,
+    _infonce_layer,
+    _scatter_rows,
     backward,
     bpr_loss,
     infonce_loss,
@@ -25,7 +27,7 @@ from svdgcl.losses import (
     total_loss,
 )
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model
-from tests.util import tiny_dataset
+from tests.util import infonce_layer_unfused, tiny_dataset
 
 
 def nce_oracle(z_layers, g_layers, members, tau):
@@ -198,6 +200,69 @@ class TestContrast:
         z = [np.ones((3, 2))]
         with pytest.raises(ValueError):
             infonce_loss(z, z, np.array([0, 1]), tau=0.0)
+
+
+class TestFusedContrastLayer:
+    """The in-place layer reproduces the unfused formulas byte for byte."""
+
+    @pytest.mark.parametrize("m", [2, 3, 301])
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
+    @pytest.mark.parametrize("zero_row", [None, "z", "g"])
+    @pytest.mark.parametrize("want_grads", [True, False])
+    def test_bytes_match_unfused_reference(self, m, tau, zero_row, want_grads):
+        rng = np.random.default_rng(m)
+        rows = m + 7
+        z = rng.standard_normal((rows, 16))
+        g = rng.standard_normal((rows, 16))
+        members = np.sort(rng.choice(rows, size=m, replace=False))
+        if zero_row == "z":
+            z[members[m // 2]] = 0.0
+        elif zero_row == "g":
+            g[members[m // 2]] = 0.0
+        got = _infonce_layer(z, g, members, tau, want_grads)
+        want = infonce_layer_unfused(z, g, members, tau, want_grads)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        if not want_grads:
+            assert got[1] is None and got[2] is None
+            return
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        if zero_row == "z":
+            assert not got[1][m // 2].any()
+        elif zero_row == "g":
+            assert not got[2][m // 2].any()
+
+
+class TestScatterRows:
+    """One COO product gives the bytes np.add.at gives."""
+
+    @pytest.mark.parametrize("rows,n", [(1, 5), (7, 40), (1000, 1024)])
+    def test_bytes_match_add_at(self, rows, n):
+        rng = np.random.default_rng(rows + n)
+        dest = rng.integers(rows, size=n)
+        dest[: n // 4] = dest[0]  # plenty of repeats on one row
+        weights = rng.standard_normal(n) * 1e-3
+        table = rng.standard_normal((n, 8))
+        want = np.zeros((rows, 8))
+        np.add.at(want, dest, weights[:, None] * table)
+        got = _scatter_rows(dest, weights, np.arange(n), table, rows)
+        assert isinstance(got, np.ndarray) and got.shape == (rows, 8)
+        assert got.tobytes() == want.tobytes()
+
+    def test_ranking_head_item_side_matches_two_add_ats(self):
+        # positives first, then negatives, each weighted by the same rows
+        rng = np.random.default_rng(3)
+        pos = rng.integers(6, size=50)
+        neg = rng.integers(6, size=50)
+        coeff = rng.standard_normal(50)
+        fu = rng.standard_normal((50, 4))
+        want = np.zeros((6, 4))
+        np.add.at(want, pos, coeff[:, None] * fu)
+        np.add.at(want, neg, -coeff[:, None] * fu)
+        j = np.arange(50)
+        got = _scatter_rows(np.concatenate([pos, neg]), np.concatenate([coeff, -coeff]), np.concatenate([j, j]), fu, 6)
+        assert got.tobytes() == want.tobytes()
 
 
 def build_setup(cl_scope="in-batch", lambda1=0.3, dropout_p=0.0, layers=2, seed=13):

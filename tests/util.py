@@ -36,3 +36,43 @@ def svdgcl_logger_state():
     before/after comparisons around calls that must leave them alone."""
     lg = logging.getLogger("svdgcl")
     return list(lg.handlers), lg.level, lg.propagate
+
+
+def infonce_layer_unfused(z, g, members, tau, want_grads):
+    """The contrast layer as one fresh array per formula (np.eye included).
+
+    A frozen reference for losses._infonce_layer, which fuses the same
+    arithmetic into two in-place m x m buffers and must match it byte for
+    byte.
+    """
+    m = members.shape[0]
+
+    def normalize_rows(x):
+        norms = np.linalg.norm(x, axis=1)
+        safe = np.where(norms > 0, norms, 1.0)
+        return x / safe[:, None], norms
+
+    an, na = normalize_rows(z[members])
+    bn, nb = normalize_rows(g[members])
+    s = an @ bn.T
+    logits = s / tau
+    peak = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - peak)
+    rowsum = e.sum(axis=1, keepdims=True)
+    lse = peak[:, 0] + np.log(rowsum[:, 0])
+    loss_sum = float(np.sum(lse - np.diagonal(logits)))
+    if not want_grads:
+        return loss_sum, None, None
+    p = e / rowsum
+    ds = p - np.eye(m)
+    ds /= tau
+    ds_s = ds * s
+    ga = ds @ bn - ds_s.sum(axis=1)[:, None] * an
+    gb = ds.T @ an - ds_s.sum(axis=0)[:, None] * bn
+    na_ok = na > 0
+    nb_ok = nb > 0
+    ga[na_ok] /= na[na_ok, None]
+    ga[~na_ok] = 0.0
+    gb[nb_ok] /= nb[nb_ok, None]
+    gb[~nb_ok] = 0.0
+    return loss_sum, ga, gb
