@@ -328,6 +328,11 @@ def run_training(config: RunConfig) -> TrainResult:
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch}; last fully finite epoch was {epoch - 1}"
                 )
+            for table, grad in (("user", gu), ("item", gv)):
+                if not np.isfinite(grad).all():
+                    raise NumericalError(
+                        f"non-finite {table} gradient in epoch {epoch}; last fully finite epoch was {epoch - 1}"
+                    )
             sums += parts
             adam_step(state, opt, gu, gv, hp.learning_rate)
         epoch_seconds.append(perf_counter() - t0)

@@ -38,10 +38,6 @@ def _duplicate_rows(arr: np.ndarray) -> bool:
     return bool(np.any(np.all(np.diff(s, axis=0) == 0, axis=1)))
 
 
-def _pair_set(arr: np.ndarray) -> set[tuple[int, int]]:
-    return {(int(u), int(i)) for u, i in arr}
-
-
 @dataclass(frozen=True)
 class InteractionDataset:
     """Index-encoded interaction splits plus the id maps that produced them.
@@ -73,20 +69,21 @@ class InteractionDataset:
                     raise ProtocolError(f"{name} split has an item index out of range")
             if _duplicate_rows(arr):
                 raise ProtocolError(f"{name} split contains duplicate pairs")
-        train_set = _pair_set(self.train)
+        train_keys = self.train[:, 0] * self.num_items + self.train[:, 1]
         for name, arr in (("validation", self.validation), ("test", self.test)):
-            overlap = train_set & _pair_set(arr)
-            if overlap:
-                raise ProtocolError(f"train and {name} overlap on pairs {sorted(overlap)[:5]}")
+            keys = arr[:, 0] * self.num_items + arr[:, 1]
+            # both key sets are duplicate-free by now; without assume_unique
+            # np.isin would dedup them again through a far slower hash table
+            overlap = np.sort(keys[np.isin(keys, train_keys, assume_unique=True)])[:5]
+            if overlap.size:
+                pairs = [(int(k // self.num_items), int(k % self.num_items)) for k in overlap]
+                raise ProtocolError(f"train and {name} overlap on pairs {pairs}")
         if self.test.size:
-            train_users = set(self.train[:, 0].tolist())
-            train_items = set(self.train[:, 1].tolist())
-            bad_users = sorted(set(self.test[:, 0].tolist()) - train_users)
-            if bad_users:
-                raise ProtocolError(f"test users absent from train: {bad_users}")
-            bad_items = sorted(set(self.test[:, 1].tolist()) - train_items)
-            if bad_items:
-                raise ProtocolError(f"test items absent from train: {bad_items}")
+            for what, col, size in (("users", 0, self.num_users), ("items", 1, self.num_items)):
+                in_train = np.bincount(self.train[:, col], minlength=size) > 0
+                bad = np.unique(self.test[~in_train[self.test[:, col]], col])
+                if bad.size:
+                    raise ProtocolError(f"test {what} absent from train: {bad.tolist()}")
 
     def summary(self) -> str:
         return (

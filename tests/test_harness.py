@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from svdgcl import harness
-from svdgcl.checkpoint import load_checkpoint
+from svdgcl.checkpoint import load_checkpoint, save_checkpoint
 from svdgcl.errors import ConfigError, DataError, NumericalError
 from svdgcl.harness import (
     LOG_ENV_VAR,
@@ -324,6 +324,36 @@ class TestTraining:
         with pytest.raises(RuntimeError, match="exactly once, ran 2 times"):
             run_training(small_config(tmp_path, epochs=1))
 
+    def test_non_finite_gradient_stops_before_the_update(self, tmp_path, monkeypatch):
+        real_init, real_grads = harness.init_optimizer, harness.loss_and_grads
+        opts, seen = [], {}
+
+        def keep_optimizer(state):
+            opts.append(real_init(state))
+            return opts[-1]
+
+        def nan_on_third_call(trace, batch, state, hp):
+            report, gu, gv = real_grads(trace, batch, state, hp)
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] == 3:
+                opt = opts[0]
+                tables = (state.e_user, state.e_item, opt.m_user, opt.v_user, opt.m_item, opt.v_item)
+                seen["before"] = [t.copy() for t in tables]
+                seen["state"], seen["step"] = state, opt.step
+                gv = gv.copy()
+                gv[1, 0] = np.nan
+            return report, gu, gv
+
+        monkeypatch.setattr(harness, "init_optimizer", keep_optimizer)
+        monkeypatch.setattr(harness, "loss_and_grads", nan_on_third_call)
+        # 144 train pairs make 2 batches per epoch: the third step opens epoch 2
+        with pytest.raises(NumericalError, match="non-finite item gradient in epoch 2; last fully finite epoch was 1"):
+            run_training(small_config(tmp_path, epochs=2, batch_size=100))
+        state, opt = seen["state"], opts[0]
+        after = [state.e_user, state.e_item, opt.m_user, opt.v_user, opt.m_item, opt.v_item]
+        assert all(np.array_equal(a, b) for a, b in zip(seen["before"], after))
+        assert opt.step == seen["step"] == 2
+
     def test_full_population_over_budget_rejected_before_training(self, tmp_path, monkeypatch):
         need = 16 * 24**2  # two float64 buffers for 24 members, the larger side
         monkeypatch.setattr(harness, "FULL_POPULATION_BUDGET_BYTES", need - 1)
@@ -352,6 +382,21 @@ class TestEval:
         )
         with pytest.raises(DataError, match="checkpoint tables"):
             run_eval(cfg2, res.checkpoint_path)
+
+    def test_matches_the_training_runs_test_result(self, tmp_path):
+        cfg = small_config(tmp_path, epochs=6, eval_ks=[1, 3, 10])
+        res = run_training(cfg)
+        assert run_eval(cfg, res.checkpoint_path) == res.test_result
+
+    def test_non_finite_checkpoint_tables_raise(self, tmp_path):
+        cfg = small_config(tmp_path, epochs=3)
+        res = run_training(cfg)
+        loaded = load_checkpoint(res.checkpoint_path)
+        loaded.state.e_user[5] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, loaded.state, loaded.opt, loaded.svd_rank, loaded.config_digest)
+        with pytest.raises(NumericalError, match="non-finite scores"):
+            run_eval(cfg, bad)
 
 
 class TestSvdReport:

@@ -97,6 +97,39 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="overlap"):
             load_interactions(train, test)
 
+    @pytest.mark.parametrize(
+        "splits, message",
+        [
+            (
+                {"validation": [[3, 1], [2, 0], [1, 1], [0, 2], [0, 3], [3, 3], [1, 0], [0, 0]], "test": []},
+                "train and validation overlap on pairs [(0, 0), (0, 2), (1, 0), (1, 1), (2, 0)]",
+            ),
+            (
+                {"validation": [], "test": [[3, 3], [0, 3], [1, 2], [1, 1]]},
+                "train and test overlap on pairs [(1, 1), (3, 3)]",
+            ),
+            (
+                {"validation": [], "test": [[5, 0], [2, 1], [5, 1], [4, 0], [4, 2]]},
+                "test users absent from train: [4, 5]",
+            ),
+            (
+                {"validation": [], "test": [[0, 6], [1, 4], [3, 6], [2, 1]]},
+                "test items absent from train: [4, 6]",
+            ),
+        ],
+    )
+    def test_protocol_messages_pinned(self, splits, message):
+        train = [[3, 1], [2, 0], [1, 1], [0, 2], [3, 3], [1, 0], [0, 0], [0, 1], [3, 0]]
+        with pytest.raises(ProtocolError) as err:
+            InteractionDataset(
+                num_users=6,
+                num_items=7,
+                train=np.array(train),
+                validation=np.array(splits["validation"], dtype=np.int64).reshape(-1, 2),
+                test=np.array(splits["test"], dtype=np.int64).reshape(-1, 2),
+            )
+        assert str(err.value) == message
+
     def test_direct_construction_validates_ranges(self):
         with pytest.raises(ProtocolError):
             InteractionDataset(

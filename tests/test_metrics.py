@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from svdgcl.interactions import build_adjacency, normalize_adjacency
+from svdgcl import metrics
+from svdgcl.errors import NumericalError
+from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
 from svdgcl.metrics import (
     EvalResult,
     evaluate,
@@ -15,8 +17,8 @@ from svdgcl.metrics import (
     rank_items,
     recall_at_k,
 )
-from svdgcl.model import HyperParams, init_model
-from tests.util import tiny_dataset
+from svdgcl.model import HyperParams, ModelState, forward, init_model
+from tests.util import metrics_over_users_loop, tiny_dataset
 
 
 def brute_rank(scores, masked, k):
@@ -181,3 +183,136 @@ class TestPopularity:
             ranked = brute_rank(scores, set(train_items[u].tolist()), 3)
             recs.append(brute_recall(ranked, set(test_items[u].tolist())))
         assert abs(res.recall[3] - np.mean(recs)) < 1e-12
+
+
+def random_dataset(seed, num_users=23, num_items=15, max_held=4):
+    """Random splits where users hold out 0 to max_held test and val items.
+
+    Test pairs on items nobody trains on are dropped, so test stays warm.
+    """
+    rng = np.random.default_rng(seed)
+    train, test, val = [], [], []
+    for u in range(num_users):
+        perm = rng.permutation(num_items).tolist()
+        n_train = int(rng.integers(1, num_items - 2 * max_held))
+        n_test, n_val = (int(x) for x in rng.integers(0, max_held + 1, size=2))
+        train += [(u, i) for i in perm[:n_train]]
+        test += [(u, i) for i in perm[n_train : n_train + n_test]]
+        val += [(u, i) for i in perm[n_train + n_test : n_train + n_test + n_val]]
+    trained = {i for _, i in train}
+    return InteractionDataset(
+        num_users=num_users,
+        num_items=num_items,
+        train=np.array(train, dtype=np.int64),
+        validation=np.array(val, dtype=np.int64).reshape(-1, 2),
+        test=np.array([p for p in test if p[1] in trained], dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def integer_state(ds, seed, dim=3):
+    """Zero-layer model whose final tables are small integers: scores tie a lot."""
+    rng = np.random.default_rng(seed)
+    return ModelState(
+        e_user=rng.integers(-1, 2, size=(ds.num_users, dim)).astype(np.float64),
+        e_item=rng.integers(-1, 2, size=(ds.num_items, dim)).astype(np.float64),
+        layers=0,
+        embed_dim=dim,
+        rng=rng,
+    )
+
+
+def loop_result(state, a, ds, ks, split="test"):
+    """The frozen per-user loop on the same final tables, one GEMV per user."""
+    trace = forward(state, a, None, None, mode="eval")
+    fu, fv = trace.final_user, trace.final_item
+    return metrics_over_users_loop(ds, ks, lambda u: fu[u] @ fv.T, split=split)
+
+
+class TestBlockedEngineMatchesLoop:
+    """The blocked engine against the frozen loop, compared with == on floats."""
+
+    KS = [1, 3, 5, 10, 20]  # 20 exceeds every user's available items
+
+    @pytest.mark.parametrize("split", ["test", "val"])
+    def test_tiny_dataset(self, split):
+        ds = tiny_dataset()
+        a = normalize_adjacency(build_adjacency(ds))
+        state = init_model(ds, HyperParams(embed_dim=6, layers=2, seed=2))
+        assert evaluate(state, a, None, ds, self.KS, split=split) == loop_result(state, a, ds, self.KS, split)
+
+    @pytest.mark.parametrize("rows", [1, 4, None])
+    @pytest.mark.parametrize("split", ["test", "val"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_tables_tie_at_the_cutoff(self, seed, split, rows, monkeypatch):
+        ds = random_dataset(seed)
+        if rows is not None:
+            # small blocks: 23 users are not a multiple of 4, and a user's
+            # held-out items spill across comparison chunks
+            monkeypatch.setattr(metrics, "SCORE_BLOCK_BYTES", 8 * ds.num_items * rows)
+        a = normalize_adjacency(build_adjacency(ds))
+        state = integer_state(ds, seed)
+        scores = state.e_user @ state.e_item.T
+        assert all(np.unique(row).size < row.size for row in scores)
+        held = np.bincount(getattr(ds, "validation" if split == "val" else split)[:, 0], minlength=ds.num_users)
+        assert held.max() > 1 and (held == 0).any()
+        got = evaluate(state, a, None, ds, self.KS, split=split)
+        assert got == loop_result(state, a, ds, self.KS, split)
+        assert got.users_evaluated == np.count_nonzero(held)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_many_hits_sum_in_rank_order(self, seed):
+        # up to 12 held-out items per user put several gains into each DCG,
+        # where adding them in another order changes the last bits
+        ds = random_dataset(seed, num_users=30, num_items=60, max_held=12)
+        a = normalize_adjacency(build_adjacency(ds))
+        for state in (integer_state(ds, seed), init_model(ds, HyperParams(embed_dim=4, layers=1, seed=seed))):
+            assert evaluate(state, a, None, ds, [5, 20, 50]) == loop_result(state, a, ds, [5, 20, 50])
+
+    @pytest.mark.parametrize("rows", [3, None])
+    def test_popularity(self, rows, monkeypatch):
+        for ds in (tiny_dataset(), random_dataset(7), random_dataset(8, num_users=40, num_items=30)):
+            if rows is not None:
+                monkeypatch.setattr(metrics, "SCORE_BLOCK_BYTES", 8 * ds.num_items * rows)
+            counts = np.bincount(ds.train[:, 1], minlength=ds.num_items).astype(np.float64)
+            assert evaluate_popularity(ds, self.KS) == metrics_over_users_loop(ds, self.KS, lambda u: counts)
+
+    def test_cutoffs_unsorted_and_repeated(self):
+        ds = random_dataset(3)
+        a = normalize_adjacency(build_adjacency(ds))
+        state = integer_state(ds, 3)
+        got = evaluate(state, a, None, ds, [10, 1, 10, 3, 1])
+        assert got == loop_result(state, a, ds, [1, 3, 10])
+        assert list(got.recall) == [1, 3, 10]
+        assert max(got.recall.values()) <= 1.0 and max(got.ndcg.values()) <= 1.0
+
+    def test_split_without_held_out_pairs(self):
+        ds = random_dataset(5)
+        empty = InteractionDataset(ds.num_users, ds.num_items, ds.train, np.empty((0, 2), dtype=np.int64), ds.test)
+        state = integer_state(empty, 5)
+        a = normalize_adjacency(build_adjacency(empty))
+        got = evaluate(state, a, None, empty, [2, 5], split="val")
+        assert got == EvalResult(recall={2: 0.0, 5: 0.0}, ndcg={2: 0.0, 5: 0.0}, users_evaluated=0)
+        assert got == loop_result(state, a, empty, [2, 5], split="val")
+
+    def test_score_blocks_stay_within_the_byte_budget(self, monkeypatch):
+        ds = random_dataset(6, num_users=50, num_items=40)
+        monkeypatch.setattr(metrics, "SCORE_BLOCK_BYTES", 8 * ds.num_items * 6 + 7)
+        counts = np.bincount(ds.train[:, 1], minlength=ds.num_items).astype(np.float64)
+        shapes = []
+
+        def score_block(lo, hi):
+            shapes.append((lo, hi))
+            return np.repeat(counts[None, :], hi - lo, axis=0)
+
+        got = metrics._ranked_metrics(ds, self.KS, score_block)
+        assert got == evaluate_popularity(ds, self.KS)
+        assert all(hi - lo <= 6 for lo, hi in shapes)
+        assert shapes[0] == (0, 6) and shapes[-1][1] == ds.num_users
+
+    def test_non_finite_scores_raise(self):
+        ds = tiny_dataset()
+        a = normalize_adjacency(build_adjacency(ds))
+        state = init_model(ds, HyperParams(embed_dim=4, seed=0))
+        state.e_item[3] = np.nan
+        with pytest.raises(NumericalError, match="non-finite scores"):
+            evaluate(state, a, None, ds, [3])

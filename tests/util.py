@@ -76,3 +76,62 @@ def infonce_layer_unfused(z, g, members, tau, want_grads):
     gb[nb_ok] /= nb[nb_ok, None]
     gb[~nb_ok] = 0.0
     return loss_sum, ga, gb
+
+
+def rank_items_argsort(scores, masked, k):
+    """The k best unmasked items by a full stable argsort (lower index wins ties)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    masked = np.asarray(list(masked) if isinstance(masked, set) else masked, dtype=np.int64)
+    available = scores.shape[0] - masked.shape[0]
+    if k < 1 or k > available:
+        raise ValueError(f"k={k} out of range: {available} items remain after masking")
+    order = np.argsort(-scores, kind="stable")
+    if masked.size:
+        hide = np.zeros(scores.shape[0], dtype=bool)
+        hide[masked] = True
+        order = order[~hide[order]]
+    return order[:k]
+
+
+def metrics_over_users_loop(ds, ks, score_row, split="test"):
+    """Ranking metrics by one GEMV-scored, fully argsorted user at a time.
+
+    A frozen reference for metrics._ranked_metrics, which scores users in
+    blocks and ranks by counting; the two must agree to the last bit.
+    score_row(u) yields user u's item scores. A cutoff listed twice adds
+    twice, so callers pass distinct cutoffs.
+    """
+    from svdgcl.metrics import EvalResult, ndcg_at_k, recall_at_k
+
+    ks = sorted(int(k) for k in ks)
+    if not ks or ks[0] < 1:
+        raise ValueError("cutoffs must be positive")
+    train_items = ds.items_by_user("train")
+    test_items = ds.items_by_user(split)
+    recall_sums = {k: 0.0 for k in ks}
+    ndcg_sums = {k: 0.0 for k in ks}
+    users = 0
+    for u in range(ds.num_users):
+        relevant = test_items[u]
+        if relevant.size == 0:
+            continue
+        users += 1
+        masked = train_items[u]
+        available = ds.num_items - masked.shape[0]
+        ranked = rank_items_argsort(score_row(u), masked, min(ks[-1], available))
+        prev = -1.0
+        for k in ks:
+            k_eff = min(k, available)
+            r = recall_at_k(ranked[:k_eff], relevant)
+            if r < prev:
+                raise RuntimeError(f"recall must be non-decreasing in the cutoff: {r} after {prev} at k={k}")
+            prev = r
+            recall_sums[k] += r
+            ndcg_sums[k] += ndcg_at_k(ranked, relevant, k_eff)
+    if users == 0:
+        return EvalResult(recall={k: 0.0 for k in ks}, ndcg={k: 0.0 for k in ks}, users_evaluated=0)
+    return EvalResult(
+        recall={k: recall_sums[k] / users for k in ks},
+        ndcg={k: ndcg_sums[k] / users for k in ks},
+        users_evaluated=users,
+    )
