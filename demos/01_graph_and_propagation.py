@@ -37,7 +37,7 @@ print("== adjacency, then degree normalization ==")
 raw = build_adjacency(ds)
 a = normalize_adjacency(raw)
 print(f"stored edges: {raw.nnz}")
-print("normalized entry for (user0, item0):", a.to_dense()[0, 0])
+print("normalized entry for (user0, item0):", a.toarray()[0, 0])
 print("each entry is 1/sqrt(user_degree * item_degree), so rows of a")
 print("dense power of the graph stay on a comparable scale.")
 

@@ -10,9 +10,9 @@ known, and how the factored form multiplies without reconstruction.
 import time
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from svdgcl.linalg import approx_svd, exact_svd_dense, svd_propagate
-from svdgcl.sparse import SparseMatrix
 
 rng = np.random.default_rng(0)
 
@@ -24,7 +24,7 @@ for b in range(rank):
     v = rng.standard_normal(40) + 3.0
     d[b * 50:(b + 1) * 50, b * 40:(b + 1) * 40] = (3.0 - 0.3 * b) * np.outer(u, v)
 r, c = np.nonzero(d)
-a = SparseMatrix.from_pairs(300, 240, r, c, d[r, c])
+a = csr_array((d[r, c], (r, c)), shape=(300, 240))
 print(f"density: {a.nnz / (300 * 240):.1%}")
 
 print()

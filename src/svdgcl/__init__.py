@@ -21,7 +21,6 @@ from .linalg import (
     SvdFactors,
     approx_svd,
     exact_svd_dense,
-    matmul,
     qr_orthonormalize,
     svd_propagate,
 )
@@ -54,9 +53,10 @@ from .model import (
     init_model,
     leaky_relu,
     predict_scores,
+    spmm,
+    spmm_t,
 )
 from .optim import OptimizerState, adam_step, init_optimizer
-from .sparse import SparseMatrix, spmm, spmm_t
 from .synth import generate_blocks
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "ParseError",
     "ProtocolError",
     "RunConfig",
-    "SparseMatrix",
     "SvdFactors",
     "TrainBatch",
     "TrainResult",
@@ -99,7 +98,6 @@ __all__ = [
     "load_checkpoint",
     "load_interactions",
     "loss_and_grads",
-    "matmul",
     "ndcg_at_k",
     "normalize_adjacency",
     "popularity_baseline",

@@ -34,33 +34,6 @@ logger = logging.getLogger("svdgcl.run")
 
 LOG_ENV_VAR = "SVDGCL_LOG"
 
-# how each overridable field parses from a command-line string
-_FIELD_TYPES = {
-    "train_path": str,
-    "test_path": str,
-    "val_path": str,
-    "embed_dim": int,
-    "layers": int,
-    "svd_rank": int,
-    "dropout_p": float,
-    "temperature": float,
-    "lambda1": float,
-    "lambda2": float,
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "cl_scope": str,
-    "eval_every": int,
-    "eval_ks": "ks",
-    "checkpoint_dir": str,
-    "log_path": str,
-    "svd_oversample": int,
-    "svd_power_iters": int,
-    "val_fraction": float,
-    "patience": int,
-}
-
 _OPTIONAL_PATHS = ("val_path", "log_path")
 _PATH_FIELDS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
 
@@ -128,20 +101,7 @@ class RunConfig:
         self.to_hyperparams()
 
     def to_hyperparams(self) -> HyperParams:
-        return HyperParams(
-            embed_dim=self.embed_dim,
-            layers=self.layers,
-            svd_rank=self.svd_rank,
-            dropout_p=self.dropout_p,
-            temperature=self.temperature,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=self.seed,
-            cl_scope=self.cl_scope,
-        )
+        return HyperParams(**{f.name: getattr(self, f.name) for f in dataclasses.fields(HyperParams)})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -174,6 +134,12 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**values)
+
+
+# how each overridable field parses from a command-line string, read off the
+# field annotations (strings, under postponed evaluation); "ks" is eval_ks
+_PARSERS = {"int": int, "float": float, "str": str, "str | None": str, "list": "ks"}
+_FIELD_TYPES = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_override(key: str, text: str):
@@ -440,9 +406,9 @@ def run_svd_report(config: RunConfig):
         seed=config.seed,
     )
     logger.info("singular_values %s", " ".join(f"{x:.12g}" for x in factors.s_r))
-    fro2 = float(np.sum(a_norm.values**2))
+    fro2 = float(np.sum(a_norm.data**2))
     if ds.num_users * ds.num_items <= 1_000_000:
-        dense = a_norm.to_dense()
+        dense = a_norm.toarray()
         resid = np.linalg.norm(dense - factors.reconstruct()) / np.linalg.norm(dense)
         logger.info("residual_rel=%.12g method=dense", resid)
     else:

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DataError, ParseError, ProtocolError
-from .sparse import SparseMatrix
 
 logger = logging.getLogger("svdgcl.data")
 
@@ -205,18 +205,21 @@ def write_pair_files(ds: InteractionDataset, train_path, test_path, val_path=Non
                 fh.write(f"{users[int(u)]}\t{items[int(i)]}\n")
 
 
-def build_adjacency(ds: InteractionDataset) -> SparseMatrix:
-    """Binary user-item adjacency over the train split only."""
-    return SparseMatrix.from_pairs(ds.num_users, ds.num_items, ds.train[:, 0], ds.train[:, 1])
+def build_adjacency(ds: InteractionDataset) -> csr_array:
+    """Binary user-item adjacency over the train split only, in canonical
+    CSR form (columns ascending within each row), which fixes the order in
+    which every product sums a row."""
+    ones = np.ones(ds.train.shape[0], dtype=np.float64)
+    return csr_array((ones, (ds.train[:, 0], ds.train[:, 1])), shape=(ds.num_users, ds.num_items))
 
 
-def normalize_adjacency(a: SparseMatrix) -> SparseMatrix:
+def normalize_adjacency(a: csr_array) -> csr_array:
     """Symmetric degree normalization: each entry becomes a/sqrt(d_row * d_col).
 
     Degrees count stored entries, so every stored entry sees two positive
     degrees; rows or columns without entries simply stay empty.
     """
-    d_row = a.row_nnz().astype(np.float64)
-    d_col = a.col_nnz().astype(np.float64)
-    scale = 1.0 / np.sqrt(d_row[a.row_ids()] * d_col[a.col_indices])
-    return SparseMatrix(a.rows, a.cols, a.row_offsets, a.col_indices, a.values * scale)
+    d_row = np.diff(a.indptr).astype(np.float64)
+    d_col = np.bincount(a.indices, minlength=a.shape[1]).astype(np.float64)
+    scale = 1.0 / np.sqrt(np.repeat(d_row, np.diff(a.indptr)) * d_col[a.indices])
+    return csr_array((a.data * scale, a.indices, a.indptr), shape=a.shape)

@@ -1,4 +1,4 @@
-"""Dense products, orthonormalization, and truncated SVD of the graph.
+"""Orthonormalization, truncated SVD of the graph, and factored products.
 
 The randomized path (sketch, power iterations, small exact factorization)
 is written out here; the small dense factorization it relies on wraps
@@ -11,9 +11,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import NumericalError
-from .sparse import SparseMatrix, spmm, spmm_t
 
 logger = logging.getLogger("svdgcl.linalg")
 
@@ -32,15 +32,6 @@ def svd_run_count() -> int:
 def reset_svd_run_count():
     global _svd_runs
     _svd_runs = 0
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense float64 matrix product with shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -133,7 +124,7 @@ def exact_svd_dense(m: np.ndarray) -> SvdFactors:
     return SvdFactors(u_r=u, s_r=s, v_r=v, rank=s.shape[0])
 
 
-def approx_svd(a: SparseMatrix, r: int, oversample: int = 8, power_iters: int = 4, seed: int = 0) -> SvdFactors:
+def approx_svd(a: csr_array, r: int, oversample: int = 8, power_iters: int = 4, seed: int = 0) -> SvdFactors:
     """Randomized truncated SVD of a sparse matrix.
 
     Sketches the range with a seeded Gaussian test matrix of r + oversample
@@ -143,7 +134,7 @@ def approx_svd(a: SparseMatrix, r: int, oversample: int = 8, power_iters: int = 
 
     Parameters
     ----------
-    a : SparseMatrix
+    a : csr_array
         Matrix to factorize.
     r : int
         Target rank, at least 1.
@@ -161,22 +152,23 @@ def approx_svd(a: SparseMatrix, r: int, oversample: int = 8, power_iters: int = 
     if oversample < 0 or power_iters < 0:
         raise ValueError("oversample and power_iters must be non-negative")
     width = r + oversample
-    if width > min(a.rows, a.cols):
+    rows, cols = a.shape
+    if width > min(rows, cols):
         raise ValueError(
-            f"sketch width r+oversample={width} exceeds min dimension of {a.rows}x{a.cols}"
+            f"sketch width r+oversample={width} exceeds min dimension of {rows}x{cols}"
         )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
-    omega = rng.standard_normal((a.cols, width))
-    y = spmm(a, omega)
+    omega = rng.standard_normal((cols, width))
+    y = a @ omega
     q = qr_orthonormalize(y)
     for _ in range(power_iters):
-        z = spmm_t(a, q)
+        z = a.T @ q
         z = qr_orthonormalize(z)
-        q = qr_orthonormalize(spmm(a, z))
-    b = spmm_t(a, q).T  # width x cols projected matrix
+        q = qr_orthonormalize(a @ z)
+    b = (a.T @ q).T  # width x cols projected matrix
     small = exact_svd_dense(b)
     keep = min(r, small.rank)
-    u = matmul(q, small.u_r[:, :keep])
+    u = q @ small.u_r[:, :keep]
     u, v = _fix_signs(u, small.v_r[:, :keep])
     _svd_runs += 1
     factors = SvdFactors(u_r=u, s_r=small.s_r[:keep], v_r=v, rank=keep)

@@ -23,8 +23,7 @@ from scipy.special import expit
 
 from .errors import DataError
 from .linalg import svd_propagate
-from .model import ForwardTrace, HyperParams, ModelState, leaky_relu_grad
-from .sparse import spmm, spmm_t
+from .model import ForwardTrace, HyperParams, ModelState, leaky_relu_grad, spmm, spmm_t
 
 logger = logging.getLogger("svdgcl.objective")
 
@@ -112,7 +111,9 @@ def sample_batch(ds, batch_size: int, rng: np.random.Generator) -> TrainBatch:
             break
     for j in pending:
         u = int(users[j])
-        held = np.unique(ds.train[ds.train[:, 0] == u, 1])
+        # keys run user-major, so the user's items are one ascending run
+        lo, hi = np.searchsorted(keys.keys, [u * ds.num_items, (u + 1) * ds.num_items])
+        held = keys.keys[lo:hi] - u * ds.num_items
         if held.shape[0] >= ds.num_items:
             raise DataError(f"user {u} interacts with every item; no negative exists")
         allowed = np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), held, assume_unique=True)

@@ -9,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import NumericalError
 from .model import ModelState, forward
-from .sparse import SparseMatrix
 
 # byte budget of one float64 score block, and of each chunk of per-pair
 # comparison rows: 131 users per block at 4,000 items
@@ -140,7 +140,7 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     return EvalResult(recall=recall, ndcg=ndcg, users_evaluated=int(users.size))
 
 
-def evaluate(state: ModelState, a_norm: SparseMatrix, svd, ds, ks, split: str = "test") -> EvalResult:
+def evaluate(state: ModelState, a_norm: csr_array, svd, ds, ks, split: str = "test") -> EvalResult:
     """One eval-mode forward pass, then ranking metrics over held-out users.
 
     The reconstruction branch never enters the scores, so svd may be None.

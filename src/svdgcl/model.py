@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigError
 from .linalg import SvdFactors, svd_propagate
-from .sparse import SparseMatrix, spmm, spmm_t
 
 INIT_STREAM = 1
 TRAIN_STREAM = 2
@@ -27,7 +27,7 @@ LEAKY_SLOPE = 0.2
 class HyperParams:
     """Training-time knobs. Defaults are the package defaults ablated on the
     synthetic block task; shape parameters follow the library's reference
-    configuration (32-dim embeddings, 2 layers, rank-5 reconstruction)."""
+    configuration (64-dim embeddings, 2 layers, rank-5 reconstruction)."""
 
     embed_dim: int = 64
     layers: int = 2
@@ -132,23 +132,47 @@ def leaky_relu_grad(x: np.ndarray, negative_slope: float = LEAKY_SLOPE) -> np.nd
     return np.where(x >= 0, 1.0, negative_slope)
 
 
-def edge_dropout(a: SparseMatrix, p: float, rng: np.random.Generator):
+def spmm(a: csr_array, b: np.ndarray) -> np.ndarray:
+    """Dense product a @ b for a sparse a and a dense (cols, d) array b."""
+    return a @ b
+
+
+def spmm_t(a: csr_array, b: np.ndarray) -> np.ndarray:
+    """Dense product a.T @ b for a sparse a and a dense (rows, d) array b."""
+    return a.T @ b
+
+
+def _drop_edges(a: csr_array, keep: np.ndarray, p: float) -> csr_array:
+    """a with survivors scaled by 1/(1-p) and dropped entries stored as zeros.
+
+    The result shares a's index arrays, so nothing is rebuilt or re-checked.
+    An explicit zero adds a signed zero to an accumulator that starts at
+    +0.0, so products equal those of the matrix without the dropped entries
+    whenever the dense operand is finite.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != a.data.shape:
+        raise ValueError("keep mask must have one flag per stored entry")
+    return csr_array((np.where(keep, a.data * (1.0 / (1.0 - p)), 0.0), a.indices, a.indptr), shape=a.shape)
+
+
+def edge_dropout(a: csr_array, p: float, rng: np.random.Generator):
     """Drop each stored edge with probability p, scaling survivors by 1/(1-p).
 
-    Returns the thinned matrix and the boolean keep mask, so the same draw
-    can be replayed.
+    Returns the thinned matrix, on a's structure with dropped edges stored
+    as zeros, and the boolean keep mask, so the same draw can be replayed.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must lie in [0, 1)")
     if p == 0.0:
         return a, np.ones(a.nnz, dtype=bool)
     keep = rng.random(a.nnz) >= p
-    return a.select(keep, scale=1.0 / (1.0 - p)), keep
+    return _drop_edges(a, keep, p), keep
 
 
 def forward(
     state: ModelState,
-    a_norm: SparseMatrix,
+    a_norm: csr_array,
     svd: SvdFactors | None = None,
     hp: HyperParams | None = None,
     mode: str = "eval",
@@ -164,9 +188,9 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if a_norm.rows != state.num_users or a_norm.cols != state.num_items:
+    if a_norm.shape != (state.num_users, state.num_items):
         raise ValueError(
-            f"graph is {a_norm.rows}x{a_norm.cols} but tables are "
+            f"graph is {a_norm.shape[0]}x{a_norm.shape[1]} but tables are "
             f"{state.num_users}x{state.num_items}"
         )
     if mode == "train" and hp is None:
@@ -193,7 +217,7 @@ def forward(
     for t in range(state.layers):
         if masks is not None:
             mask = np.asarray(masks[t], dtype=bool)
-            dropped = a_norm.select(mask, scale=1.0 / (1.0 - p)) if p > 0 else a_norm
+            dropped = _drop_edges(a_norm, mask, p) if p > 0 else a_norm
         elif p > 0:
             dropped, mask = edge_dropout(a_norm, p, draw)
         else:

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from svdgcl.datasets import locate_movielens_100k, prepare_movielens_100k
 from svdgcl.harness import RunConfig, run_training
@@ -25,7 +26,6 @@ from svdgcl.linalg import SvdFactors, approx_svd, exact_svd_dense, svd_propagate
 from svdgcl.losses import infonce_loss, loss_and_grads, sample_batch, total_loss
 from svdgcl.metrics import evaluate_popularity, ndcg_at_k, rank_items, recall_at_k
 from svdgcl.model import HyperParams, forward, init_model
-from svdgcl.sparse import SparseMatrix
 from svdgcl.synth import TRAIN_WINDOW, generate_blocks
 
 
@@ -44,7 +44,7 @@ def announce_skip(capsys, number, reason):
 
 def sparse_from_dense(d):
     r, c = np.nonzero(d)
-    return SparseMatrix.from_pairs(d.shape[0], d.shape[1], r, c, d[r, c])
+    return csr_array((d[r, c], (r, c)), shape=d.shape)
 
 
 def block_rank_matrix(rng, rows, cols, rank):

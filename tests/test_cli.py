@@ -1,5 +1,6 @@
 """Command-line entry: subcommands, overrides, and exit-code mapping."""
 
+import argparse
 import json
 import logging
 
@@ -9,6 +10,16 @@ import pytest
 from svdgcl import cli
 from svdgcl.errors import NumericalError
 from tests.util import svdgcl_logger_state
+
+
+# every RunConfig field is a train flag; the list is written out so that a
+# field added, renamed or dropped shows up here
+TRAIN_FIELDS = (
+    "train_path", "test_path", "val_path", "embed_dim", "layers", "svd_rank", "dropout_p",
+    "temperature", "lambda1", "lambda2", "learning_rate", "batch_size", "epochs", "seed",
+    "cl_scope", "eval_every", "eval_ks", "checkpoint_dir", "log_path", "svd_oversample",
+    "svd_power_iters", "val_fraction", "patience",
+)
 
 
 def run(argv):
@@ -119,6 +130,12 @@ class TestTrainEvalCommands:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_train_flag_set_unchanged(self):
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices["train"]._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+        assert flags == {"--" + name.replace("_", "-") for name in TRAIN_FIELDS}
+        assert len(flags) == 23
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run(["train", "--mystery-knob", "9"]) == 1

@@ -5,6 +5,7 @@ in the sub-minute range while still exercising early stopping, checkpoint
 reload, and the reproducibility contracts.
 """
 
+import dataclasses
 import json
 import logging
 import os
@@ -25,6 +26,7 @@ from svdgcl.harness import (
     run_svd_report,
     run_training,
 )
+from svdgcl.model import HyperParams
 from svdgcl.synth import generate_blocks
 from tests.util import svdgcl_logger_state
 
@@ -51,6 +53,16 @@ class TestRunConfig:
     def test_defaults_probe_cleanly(self):
         cfg = RunConfig()
         assert cfg.to_hyperparams().embed_dim == cfg.embed_dim
+
+    def test_hyperparams_mirror_run_config_fields(self):
+        run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(HyperParams):
+            assert f.name in run_fields, f.name
+            assert run_fields[f.name].default == f.default, f.name
+        cfg = RunConfig(embed_dim=7, layers=3, cl_scope="full-population", seed=5)
+        assert dataclasses.asdict(cfg.to_hyperparams()) == {
+            f.name: getattr(cfg, f.name) for f in dataclasses.fields(HyperParams)
+        }
 
     @pytest.mark.parametrize(
         "bad",

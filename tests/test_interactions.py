@@ -209,8 +209,8 @@ class TestGraph:
         train, test, val = basic_files(tmp_path)
         ds = load_interactions(train, test, val)
         a = build_adjacency(ds)
-        dense = a.to_dense()
-        assert a.rows == ds.num_users and a.cols == ds.num_items
+        dense = a.toarray()
+        assert a.shape == (ds.num_users, ds.num_items)
         assert a.nnz == ds.train.shape[0]
         for u, i in ds.train:
             assert dense[u, i] == 1.0
@@ -221,11 +221,11 @@ class TestGraph:
         ds = load_interactions(train, test, val)
         a = build_adjacency(ds)
         n = normalize_adjacency(a)
-        dense, raw = n.to_dense(), a.to_dense()
+        dense, raw = n.toarray(), a.toarray()
         du = raw.sum(axis=1)
         di = raw.sum(axis=0)
-        for u in range(a.rows):
-            for i in range(a.cols):
+        for u in range(a.shape[0]):
+            for i in range(a.shape[1]):
                 if raw[u, i]:
                     expect = 1.0 / np.sqrt(du[u] * di[i])
                     assert abs(dense[u, i] - expect) < 1e-12

@@ -1,4 +1,4 @@
-"""Dense kernels, orthonormalization, and the two SVD routes.
+"""Orthonormalization and the two SVD routes.
 
 exact_svd_dense is the oracle route, so it is checked against closed
 forms and reconstruction identities rather than against itself; the
@@ -7,6 +7,7 @@ randomized route is then checked against it.
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from svdgcl.errors import NumericalError
 from svdgcl.linalg import (
@@ -14,45 +15,16 @@ from svdgcl.linalg import (
     SvdFactors,
     approx_svd,
     exact_svd_dense,
-    matmul,
     qr_orthonormalize,
     reset_svd_run_count,
     svd_propagate,
     svd_run_count,
 )
-from svdgcl.sparse import SparseMatrix
-
-
-def matmul_by_loops(x, y):
-    n, k = x.shape
-    _, m = y.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += x[i, t] * y[t, j]
-            out[i, j] = acc
-    return out
 
 
 def sparse_from_dense(d):
     r, c = np.nonzero(d)
-    return SparseMatrix.from_pairs(d.shape[0], d.shape[1], r, c, d[r, c])
-
-
-class TestMatmul:
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            n, k, m = rng.integers(1, 8, size=3)
-            a = rng.standard_normal((n, k))
-            b = rng.standard_normal((k, m))
-            np.testing.assert_allclose(matmul(a, b), matmul_by_loops(a, b), atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+    return csr_array((d[r, c], (r, c)), shape=d.shape)
 
 
 class TestOrthonormalize:

@@ -27,7 +27,7 @@ from svdgcl.losses import (
     total_loss,
 )
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model
-from tests.util import infonce_layer_unfused, tiny_dataset
+from tests.util import infonce_layer_unfused, sample_batch_full_scan, tiny_dataset
 
 
 def nce_oracle(z_layers, g_layers, members, tau):
@@ -101,6 +101,38 @@ class TestSampling:
         )
         with pytest.raises(DataError, match="every item"):
             sample_batch(ds, 256, np.random.default_rng(0))
+
+    def test_nearly_saturated_user_gets_the_free_item(self):
+        # 999 of 1,000 items held: most negatives exhaust the uniform tries
+        # and come from the fallback, which must find the one free item
+        train = [(0, i) for i in range(1000) if i != 617] + [(1, 617)]
+        ds = InteractionDataset(
+            num_users=2,
+            num_items=1000,
+            train=np.array(train, dtype=np.int64),
+            validation=np.empty((0, 2), dtype=np.int64),
+            test=np.empty((0, 2), dtype=np.int64),
+        )
+        batch = sample_batch(ds, 512, np.random.default_rng(3))
+        mine = batch.users == 0
+        assert mine.sum() > 400
+        np.testing.assert_array_equal(batch.neg_items[mine], 617)
+        assert not np.any(batch.neg_items[~mine] == 617)
+
+    def test_fallback_draws_match_a_full_scan(self):
+        # the fallback reads each user's items off the sorted keys; the
+        # allowed items, and so every draw, equal those of a scan of ds.train
+        rng = np.random.default_rng(9)
+        train = [(u, i) for u in range(6) for i in rng.permutation(200)[: 194 + u]]
+        train = np.array(train, dtype=np.int64)[rng.permutation(len(train))]
+        ds = InteractionDataset(
+            num_users=6, num_items=200, train=train, validation=np.empty((0, 2)), test=np.empty((0, 2))
+        )
+        for seed in range(5):
+            got = sample_batch(ds, 300, np.random.default_rng(seed))
+            want = sample_batch_full_scan(ds, 300, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got.neg_items, want.neg_items)
+            np.testing.assert_array_equal(got.users, want.users)
 
 
 class TestRankingLoss:

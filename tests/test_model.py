@@ -7,6 +7,7 @@ traced version shows up as a mismatch.
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from svdgcl.errors import ConfigError
 from svdgcl.interactions import build_adjacency, normalize_adjacency
@@ -21,7 +22,6 @@ from svdgcl.model import (
     leaky_relu_grad,
     predict_scores,
 )
-from svdgcl.sparse import SparseMatrix
 from tests.util import tiny_dataset
 
 
@@ -114,9 +114,14 @@ class TestActivation:
         np.testing.assert_allclose(leaky_relu_grad(x), fd, atol=1e-6)
 
 
+def pairs_matrix(rows, cols, r, c):
+    r, c = np.asarray(r), np.asarray(c)
+    return csr_array((np.ones(r.size), (r, c)), shape=(rows, cols))
+
+
 class TestEdgeDropout:
     def test_p_zero_is_identity(self):
-        a = SparseMatrix.from_pairs(3, 3, [0, 1, 2], [1, 2, 0])
+        a = pairs_matrix(3, 3, [0, 1, 2], [1, 2, 0])
         rng = np.random.default_rng(0)
         dropped, keep = edge_dropout(a, 0.0, rng)
         assert dropped is a
@@ -125,24 +130,37 @@ class TestEdgeDropout:
     def test_survivors_scaled(self):
         rng = np.random.default_rng(1)
         n = 2000
-        a = SparseMatrix.from_pairs(1, n, np.zeros(n, dtype=int), np.arange(n))
+        a = pairs_matrix(1, n, np.zeros(n, dtype=int), np.arange(n))
         p = 0.3
         dropped, keep = edge_dropout(a, p, rng)
-        assert dropped.nnz == int(keep.sum())
-        np.testing.assert_allclose(dropped.values, 1.0 / (1.0 - p))
+        assert dropped.count_nonzero() == int(keep.sum())
+        # dropped edges stay stored, as zeros, on the original structure
+        assert dropped.nnz == a.nnz and keep.shape == (n,)
+        np.testing.assert_array_equal(dropped.indices, a.indices)
+        np.testing.assert_array_equal(dropped.indptr, a.indptr)
+        np.testing.assert_array_equal(dropped.data[keep], a.data[keep] * (1.0 / (1.0 - p)))
+        assert not dropped.data[~keep].any()
+        np.testing.assert_array_equal(a.data, np.ones(n))
         # keep rate concentrates near 1-p
         assert abs(keep.mean() - (1.0 - p)) < 0.05
 
     def test_mask_replay_reproduces_matrix(self):
-        rng = np.random.default_rng(4)
-        a = SparseMatrix.from_pairs(5, 5, [0, 1, 2, 3, 4], [1, 2, 3, 4, 0])
-        dropped, keep = edge_dropout(a, 0.4, rng)
-        replay = a.select(keep, scale=1.0 / 0.6)
-        np.testing.assert_array_equal(dropped.to_dense(), replay.to_dense())
+        ds = tiny_dataset()
+        a = normalize_adjacency(build_adjacency(ds))
+        hp = HyperParams(embed_dim=3, layers=2, dropout_p=0.4, lambda1=0.0, seed=4)
+        state = init_model(ds, hp)
+        t1 = forward(state, a, hp=hp, mode="train")
+        t2 = forward(state, a, hp=hp, mode="train", masks=t1.dropout_masks)
+        for drawn, replayed in zip(t1.dropped_adj, t2.dropped_adj):
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(drawn, name), getattr(replayed, name))
+        dropped, keep = edge_dropout(a, 0.4, np.random.default_rng(4))
+        replay = forward(state, a, hp=hp, mode="train", masks=[keep, keep]).dropped_adj[0]
+        np.testing.assert_array_equal(dropped.data, replay.data)
 
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
-            edge_dropout(SparseMatrix.from_pairs(1, 1, [0], [0]), 1.0, np.random.default_rng(0))
+            edge_dropout(pairs_matrix(1, 1, [0], [0]), 1.0, np.random.default_rng(0))
 
 
 class TestForward:
@@ -155,7 +173,7 @@ class TestForward:
 
     def test_eval_matches_dense_reference(self):
         trace = forward(self.state, self.a)
-        fu, fi, _, _ = dense_forward(self.state, self.a.to_dense(), None, 3, False)
+        fu, fi, _, _ = dense_forward(self.state, self.a.toarray(), None, 3, False)
         np.testing.assert_allclose(trace.final_user, fu, atol=1e-10)
         np.testing.assert_allclose(trace.final_item, fi, atol=1e-10)
         assert trace.g_user is None and trace.g_item is None
@@ -165,7 +183,7 @@ class TestForward:
     def test_train_with_view_matches_dense_reference(self):
         trace = forward(self.state, self.a, svd=self.svd, hp=self.hp, mode="train")
         recon = self.svd.reconstruct()
-        fu, fi, gu, gi = dense_forward(self.state, self.a.to_dense(), recon, 3, True)
+        fu, fi, gu, gi = dense_forward(self.state, self.a.toarray(), recon, 3, True)
         np.testing.assert_allclose(trace.final_user, fu, atol=1e-10)
         np.testing.assert_allclose(trace.final_item, fi, atol=1e-10)
         for got, want in zip(trace.g_user, gu):
@@ -208,7 +226,7 @@ class TestForward:
             forward(self.state, self.a, hp=self.hp, mode="train", with_global_view=True)
 
     def test_dimension_mismatch_rejected(self):
-        other = SparseMatrix.from_pairs(2, 2, [0], [0])
+        other = pairs_matrix(2, 2, [0], [0])
         with pytest.raises(ValueError):
             forward(self.state, other)
 

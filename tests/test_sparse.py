@@ -1,22 +1,27 @@
-"""CSR container and multiplication kernels, checked against loop oracles.
+"""The graph as a scipy csr_array: construction, normalization, edge
+dropout on the fixed structure, and the two products, checked against
+loop oracles.
 
-The oracles densify by walking the offset arrays directly and multiply
+The oracles densify by walking the index arrays directly and multiply
 with naive Python loops, so they share no code path with the kernels
 under test.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
-from svdgcl.sparse import SparseMatrix, spmm, spmm_t
+from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
+from svdgcl.model import _drop_edges, edge_dropout, spmm, spmm_t
 
 
 def dense_by_loops(a):
-    """Densify by walking row_offsets entry by entry."""
-    out = np.zeros((a.rows, a.cols))
-    for i in range(a.rows):
-        for p in range(int(a.row_offsets[i]), int(a.row_offsets[i + 1])):
-            out[i, int(a.col_indices[p])] = a.values[p]
+    """Densify by walking indptr entry by entry."""
+    rows, cols = a.shape
+    out = np.zeros((rows, cols))
+    for i in range(rows):
+        for p in range(int(a.indptr[i]), int(a.indptr[i + 1])):
+            out[i, int(a.indices[p])] += a.data[p]
     return out
 
 
@@ -36,7 +41,12 @@ def matmul_by_loops(x, y):
 def random_sparse(rng, rows, cols, nnz):
     flat = rng.choice(rows * cols, size=nnz, replace=False)
     vals = rng.standard_normal(nnz)
-    return SparseMatrix.from_pairs(rows, cols, flat // cols, flat % cols, vals)
+    return csr_array((vals, (flat // cols, flat % cols)), shape=(rows, cols))
+
+
+def dataset(rows, cols, pairs):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return InteractionDataset(num_users=rows, num_items=cols, train=pairs, validation=[], test=[])
 
 
 class TestConstruction:
@@ -47,95 +57,85 @@ class TestConstruction:
             cols = int(rng.integers(1, 12))
             nnz = int(rng.integers(0, rows * cols + 1))
             flat = rng.choice(rows * cols, size=nnz, replace=False)
-            vals = rng.standard_normal(nnz)
-            a = SparseMatrix.from_pairs(rows, cols, flat // cols, flat % cols, vals)
+            a = build_adjacency(dataset(rows, cols, np.column_stack([flat // cols, flat % cols])))
             expect = np.zeros((rows, cols))
-            for f, v in zip(flat, vals):
-                expect[f // cols, f % cols] = v
-            np.testing.assert_array_equal(a.to_dense(), expect)
+            for f in flat:
+                expect[f // cols, f % cols] = 1.0
+            np.testing.assert_array_equal(a.toarray(), expect)
             np.testing.assert_array_equal(dense_by_loops(a), expect)
             assert a.nnz == nnz
 
     def test_pairs_survive_any_input_order(self):
-        rows = np.array([2, 0, 1, 0])
-        cols = np.array([1, 2, 0, 0])
-        vals = np.array([4.0, 3.0, 2.0, 1.0])
-        a = SparseMatrix.from_pairs(3, 3, rows, cols, vals)
+        pairs = np.array([[2, 1], [0, 2], [1, 0], [0, 0]])
+        a = build_adjacency(dataset(3, 3, pairs))
+        b = build_adjacency(dataset(3, 3, pairs[::-1]))
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         expect = np.zeros((3, 3))
-        expect[2, 1], expect[0, 2], expect[1, 0], expect[0, 0] = 4.0, 3.0, 2.0, 1.0
-        np.testing.assert_array_equal(a.to_dense(), expect)
+        expect[2, 1], expect[0, 2], expect[1, 0], expect[0, 0] = 1.0, 1.0, 1.0, 1.0
+        np.testing.assert_array_equal(a.toarray(), expect)
 
     def test_default_values_are_ones(self):
-        a = SparseMatrix.from_pairs(2, 2, [0, 1], [1, 0])
-        np.testing.assert_array_equal(a.values, [1.0, 1.0])
+        a = build_adjacency(dataset(2, 2, [[0, 1], [1, 0]]))
+        assert a.data.dtype == np.float64
+        np.testing.assert_array_equal(a.data, [1.0, 1.0])
 
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseMatrix.from_pairs(2, 2, [0, 0], [1, 1], [1.0, 2.0])
-
-    def test_out_of_range_indices_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix.from_pairs(2, 2, [2], [0])
-        with pytest.raises(ValueError):
-            SparseMatrix.from_pairs(2, 2, [0], [2])
-
-    def test_offsets_validated(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(2, 2, np.array([1, 1, 1]), np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            SparseMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            SparseMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
-
-    def test_columns_must_increase_within_row(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SparseMatrix(1, 3, np.array([0, 2]), np.array([2, 0]), np.array([1.0, 1.0]))
-
-    def test_values_must_be_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            SparseMatrix(1, 1, np.array([0, 1]), np.array([0]), np.array([np.inf]))
+    def test_build_adjacency_is_canonical(self):
+        # every product sums a row in stored order, so the order is pinned:
+        # columns strictly ascending within each row, whatever the pair order
+        rng = np.random.default_rng(13)
+        flat = rng.permutation(rng.choice(9 * 11, size=60, replace=False))
+        a = build_adjacency(dataset(9, 11, np.column_stack([flat // 11, flat % 11])))
+        assert isinstance(a, csr_array)
+        assert a.has_canonical_format
+        for i in range(9):
+            assert np.all(np.diff(a.indices[a.indptr[i]:a.indptr[i + 1]]) > 0)
+        assert normalize_adjacency(a).has_canonical_format
 
     def test_empty_rows_are_fine(self):
-        a = SparseMatrix.from_pairs(4, 3, [1], [2], [5.0])
-        assert a.nnz == 1
-        np.testing.assert_array_equal(a.row_nnz(), [0, 1, 0, 0])
-        np.testing.assert_array_equal(a.col_nnz(), [0, 0, 1])
+        a = build_adjacency(dataset(4, 3, [[1, 2]]))
+        n = normalize_adjacency(a)
+        assert n.nnz == 1
+        np.testing.assert_array_equal(n.indptr, [0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(n.toarray(), [[0, 0, 0], [0, 0, 1.0], [0, 0, 0], [0, 0, 0]])
 
 
 class TestCounts:
     def test_row_and_col_nnz_match_dense_sums(self):
+        # the normalization divides by the stored-entry counts of its row and
+        # column, whatever the stored values are
         rng = np.random.default_rng(11)
         a = random_sparse(rng, 9, 7, 30)
         d = dense_by_loops(a) != 0
-        np.testing.assert_array_equal(a.row_nnz(), d.sum(axis=1))
-        np.testing.assert_array_equal(a.col_nnz(), d.sum(axis=0))
-
-    def test_row_ids_expand_offsets(self):
-        a = SparseMatrix.from_pairs(3, 3, [0, 0, 2], [0, 2, 1])
-        np.testing.assert_array_equal(a.row_ids(), [0, 0, 2])
+        du, di = d.sum(axis=1), d.sum(axis=0)
+        want = np.where(d, dense_by_loops(a) / np.sqrt(np.outer(du, di).clip(min=1)), 0.0)
+        np.testing.assert_allclose(normalize_adjacency(a).toarray(), want, rtol=1e-14, atol=0)
 
 
 class TestSelect:
     def test_select_keeps_and_scales(self):
         rng = np.random.default_rng(3)
         a = random_sparse(rng, 8, 6, 25)
-        keep = rng.random(25) < 0.6
-        b = a.select(keep, scale=2.5)
-        expect = np.zeros((8, 6))
         dense = dense_by_loops(a)
-        rows = a.row_ids()
-        for flag, r, c, v in zip(keep, rows, a.col_indices, a.values):
+        keep = rng.random(25) < 0.6
+        b = _drop_edges(a, keep, 0.6)
+        expect = np.zeros((8, 6))
+        rows = np.repeat(np.arange(8), np.diff(a.indptr))
+        for flag, r, c, v in zip(keep, rows, a.indices, a.data):
             if flag:
-                expect[int(r), int(c)] = 2.5 * v
-        np.testing.assert_allclose(b.to_dense(), expect, atol=0)
-        assert b.nnz == int(keep.sum())
+                expect[int(r), int(c)] = v * (1.0 / (1.0 - 0.6))
+        np.testing.assert_array_equal(b.toarray(), expect)
+        assert b.count_nonzero() == int(keep.sum())
+        # dropped edges stay stored as zeros on the shared structure
+        assert b.nnz == a.nnz
+        assert np.shares_memory(b.indices, a.indices) and np.shares_memory(b.indptr, a.indptr)
         # source is untouched
-        np.testing.assert_array_equal(a.to_dense(), dense)
+        np.testing.assert_array_equal(dense_by_loops(a), dense)
 
     def test_select_mask_length_checked(self):
-        a = SparseMatrix.from_pairs(2, 2, [0], [0])
-        with pytest.raises(ValueError):
-            a.select(np.array([True, False]))
+        a = build_adjacency(dataset(2, 2, [[0, 0]]))
+        with pytest.raises(ValueError, match="one flag per stored entry"):
+            _drop_edges(a, np.array([True, False]), 0.5)
 
 
 class TestMultiplication:
@@ -165,15 +165,27 @@ class TestMultiplication:
                 spmm_t(a, b), matmul_by_loops(dense_by_loops(a).T, b), atol=1e-12
             )
 
+    def test_dropped_products_equal_products_without_the_edges(self):
+        # explicit zeros add signed zeros to +0.0 accumulators: same bytes
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            a = normalize_adjacency(random_sparse(rng, 30, 20, 150))
+            dropped, keep = edge_dropout(a, 0.4, rng)
+            rows = np.repeat(np.arange(30), np.diff(a.indptr))
+            thinned = csr_array((dropped.data[keep], (rows[keep], a.indices[keep])), shape=a.shape)
+            hv, hu = rng.standard_normal((20, 4)), rng.standard_normal((30, 4))
+            assert spmm(dropped, hv).tobytes() == spmm(thinned, hv).tobytes()
+            assert spmm_t(dropped, hu).tobytes() == spmm_t(thinned, hu).tobytes()
+
     def test_shape_mismatch_rejected(self):
-        a = SparseMatrix.from_pairs(3, 4, [0], [1])
+        a = build_adjacency(dataset(3, 4, [[0, 1]]))
         with pytest.raises(ValueError):
             spmm(a, np.zeros((3, 2)))
         with pytest.raises(ValueError):
             spmm_t(a, np.zeros((4, 2)))
 
     def test_results_are_plain_arrays(self):
-        a = SparseMatrix.from_pairs(2, 2, [0, 1], [0, 1], [2.0, 3.0])
-        out = spmm(a, np.eye(2))
-        assert type(out) is np.ndarray
-        np.testing.assert_array_equal(out, np.diag([2.0, 3.0]))
+        a = csr_array((np.array([2.0, 3.0]), (np.array([0, 1]), np.array([0, 1]))), shape=(2, 2))
+        for out in (spmm(a, np.eye(2)), spmm_t(a, np.eye(2))):
+            assert type(out) is np.ndarray
+            np.testing.assert_array_equal(out, np.diag([2.0, 3.0]))

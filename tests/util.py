@@ -4,7 +4,9 @@ import logging
 
 import numpy as np
 
+from svdgcl.errors import DataError
 from svdgcl.interactions import InteractionDataset
+from svdgcl.losses import MAX_NEG_TRIES, TrainBatch, _train_keys
 
 
 def tiny_dataset(num_users=8, num_items=10):
@@ -135,3 +137,28 @@ def metrics_over_users_loop(ds, ks, score_row, split="test"):
         ndcg={k: ndcg_sums[k] / users for k in ks},
         users_evaluated=users,
     )
+
+
+def sample_batch_full_scan(ds, batch_size, rng):
+    """Frozen copy of sample_batch whose fallback finds a straggler's items
+    by scanning all of ds.train, as it once did."""
+    keys = _train_keys(ds)
+    idx = rng.integers(ds.train.shape[0], size=batch_size)
+    users = ds.train[idx, 0]
+    pos = ds.train[idx, 1]
+    neg = np.empty(batch_size, dtype=np.int64)
+    pending = np.arange(batch_size)
+    for _ in range(MAX_NEG_TRIES):
+        cand = rng.integers(ds.num_items, size=pending.shape[0])
+        neg[pending] = cand
+        pending = pending[keys.contains(users[pending], cand)]
+        if pending.size == 0:
+            break
+    for j in pending:
+        u = int(users[j])
+        held = np.unique(ds.train[ds.train[:, 0] == u, 1])
+        if held.shape[0] >= ds.num_items:
+            raise DataError(f"user {u} interacts with every item; no negative exists")
+        allowed = np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), held, assume_unique=True)
+        neg[j] = allowed[rng.integers(allowed.shape[0])]
+    return TrainBatch(users=users, pos_items=pos, neg_items=neg)
