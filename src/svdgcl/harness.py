@@ -37,8 +37,9 @@ LOG_ENV_VAR = "SVDGCL_LOG"
 _OPTIONAL_PATHS = ("val_path", "log_path")
 _PATH_FIELDS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
 
-# cl_scope="full-population" contrasts every user and every item at once; its
-# two m x m float64 buffers (16 * m**2 bytes for the larger side) must fit here
+# cl_scope="full-population" contrasts every user and every item at once; the
+# contrast layer's one m x m float64 buffer (8 * m**2 bytes for the larger
+# side) must fit here
 FULL_POPULATION_BUDGET_BYTES = 1 << 30
 
 
@@ -254,10 +255,10 @@ def run_training(config: RunConfig) -> TrainResult:
     )
     if hp.lambda1 > 0 and hp.cl_scope == "full-population":
         members = max(ds.num_users, ds.num_items)
-        need = 16 * members**2
+        need = 8 * members**2
         if need > FULL_POPULATION_BUDGET_BYTES:
             raise ConfigError(
-                f"cl_scope='full-population' needs {need} bytes for the contrast buffers of {members} "
+                f"cl_scope='full-population' needs {need} bytes for the contrast buffer of {members} "
                 f"members, over the {FULL_POPULATION_BUDGET_BYTES}-byte budget; use cl_scope='in-batch'"
             )
     a_norm = normalize_adjacency(build_adjacency(ds))

@@ -4,13 +4,14 @@ All gradients are accumulated by hand in reverse through the propagation
 trace; nothing here relies on an autodiff framework. The contract is
 checked against central finite differences in the test suite.
 
-The contrastive term's similarity and softmax matrices dominate the step
-cost on real data, so the training loop uses loss_and_grads, which builds
-them once and reads both the loss value and its gradients off the same
+The contrastive term's m x m softmax matrix dominates the step cost on
+real data, so the training loop uses loss_and_grads, which builds it once
+and reads both the loss value and its gradients off the same
 intermediates; total_loss and backward are thin views of the same code.
-Each contrast layer holds two m x m buffers, the similarities and one work
-buffer that is overwritten in place from logits through softmax to the
-similarity gradient, instead of a fresh matrix per formula.
+Each contrast layer holds one m x m buffer, overwritten in place from the
+logits to the unnormalized softmax. The similarities themselves are never
+kept: the gradient needs only m x d products with that buffer, by the
+identity sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
 """
 from __future__ import annotations
 
@@ -164,19 +165,20 @@ def _infonce_layer(z: np.ndarray, g: np.ndarray, members: np.ndarray, tau: float
     restricted to the member rows, or None when grads were not asked for.
     Zero-norm rows contribute similarity 0 and receive zero gradient.
 
-    At most two m x m buffers live at once: s, the cosine similarities, and
-    w, which is overwritten in place as the logits s/tau, then
-    exp(logits - peak), then the softmax p, then ds = (p - I)/tau. The
-    identity is subtracted on w's strided diagonal, and ds*s is formed in
-    s's buffer once s has no other reader. Each elementwise step and
-    reduction is the textbook one on the same operands in the same order,
-    so the float64 results are bit-for-bit those of the unfused formulas.
+    One m x m buffer w holds the logits s / tau (s = an @ bn.T, the cosine
+    similarities), then exp(logits - peak) in place; the loss comes off its
+    row sums, byte for byte the unfused formulas. The gradient in s,
+    ds = (p - I) / tau with p = w / rowsum, is never formed: 1/rowsum, the
+    identity and 1/tau act on the m x d products G = ds @ bn and
+    H = ds.T @ an. The row normalization then takes from G_i its part along
+    an_i, (an_i . G_i) an_i = sum_j ds_ij s_ij an_i, and divides by |z_i|
+    (likewise H with bn and g), so no ds * s is formed either. The
+    gradients match the unfused formulas to the last few bits.
     """
-    m = members.shape[0]
     an, na = _normalize_rows(z[members])
     bn, nb = _normalize_rows(g[members])
-    s = an @ bn.T
-    w = s / tau
+    w = an @ bn.T
+    w /= tau
     diag = w.diagonal().copy()
     peak = w.max(axis=1, keepdims=True)
     w -= peak
@@ -186,18 +188,18 @@ def _infonce_layer(z: np.ndarray, g: np.ndarray, members: np.ndarray, tau: float
     loss_sum = float(np.sum(lse - diag))
     if not want_grads:
         return loss_sum, None, None
-    w /= rowsum
-    w.flat[:: m + 1] -= 1.0
-    w /= tau
-    s *= w
-    ga = w @ bn - s.sum(axis=1)[:, None] * an
-    gb = w.T @ an - s.sum(axis=0)[:, None] * bn
-    na_ok = na > 0
-    nb_ok = nb > 0
-    ga[na_ok] /= na[na_ok, None]
-    ga[~na_ok] = 0.0
-    gb[nb_ok] /= nb[nb_ok, None]
-    gb[~nb_ok] = 0.0
+    ga = w @ bn
+    ga /= rowsum
+    ga -= bn
+    ga /= tau
+    gb = w.T @ (an / rowsum)
+    gb -= an
+    gb /= tau
+    for grad, unit, norms in ((ga, an, na), (gb, bn, nb)):
+        grad -= np.einsum("ij,ij->i", grad, unit)[:, None] * unit
+        ok = norms > 0
+        grad[ok] /= norms[ok, None]
+        grad[~ok] = 0.0
     return loss_sum, ga, gb
 
 
@@ -343,12 +345,12 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
             if g_grads_u[t] is not None:
                 dpre_gu = np.zeros_like(trace.pre_g_user[t])
                 dpre_gu[members_u] = g_grads_u[t] * (hp.lambda1 / members_u.shape[0])
-                dpre_gu *= leaky_relu_grad(trace.pre_g_user[t])
+                dpre_gu[members_u] *= leaky_relu_grad(trace.pre_g_user[t][members_u])
                 next_gv += svd_propagate(trace.svd_factors, dpre_gu, "item")
             if g_grads_i[t] is not None:
                 dpre_gv = np.zeros_like(trace.pre_g_item[t])
                 dpre_gv[members_i] = g_grads_i[t] * (hp.lambda1 / members_i.shape[0])
-                dpre_gv *= leaky_relu_grad(trace.pre_g_item[t])
+                dpre_gv[members_i] *= leaky_relu_grad(trace.pre_g_item[t][members_i])
                 next_gu += svd_propagate(trace.svd_factors, dpre_gv, "user")
         gu, gv = next_gu, next_gv
 

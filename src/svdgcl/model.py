@@ -124,7 +124,9 @@ def init_model(ds, hp: HyperParams) -> ModelState:
 
 
 def leaky_relu(x: np.ndarray, negative_slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.where(x >= 0, x, negative_slope * x)
+    # for 0 < slope <= 1 the larger of x and slope * x is the branch that
+    # np.where(x >= 0, x, slope * x) picks, with its bytes on +-0, +-inf and NaN
+    return np.maximum(x, negative_slope * x)
 
 
 def leaky_relu_grad(x: np.ndarray, negative_slope: float = LEAKY_SLOPE) -> np.ndarray:

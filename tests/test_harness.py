@@ -367,7 +367,7 @@ class TestTraining:
         assert opt.step == seen["step"] == 2
 
     def test_full_population_over_budget_rejected_before_training(self, tmp_path, monkeypatch):
-        need = 16 * 24**2  # two float64 buffers for 24 members, the larger side
+        need = 8 * 24**2  # one float64 m x m buffer for 24 members, the larger side
         monkeypatch.setattr(harness, "FULL_POPULATION_BUDGET_BYTES", need - 1)
         cfg = small_config(tmp_path, epochs=1, cl_scope="full-population")
         with monkeypatch.context() as mp:

@@ -105,6 +105,10 @@ class TestActivation:
         x = np.array([-1.0, 0.0, 1.0])
         np.testing.assert_array_equal(leaky_relu_grad(x), [LEAKY_SLOPE, 1.0, 1.0])
 
+    def test_max_form_keeps_the_where_bytes(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5, 5e-324, -5e-324, 1e308, -1e308])
+        assert leaky_relu(x).tobytes() == np.where(x >= 0, x, LEAKY_SLOPE * x).tobytes()
+
     def test_grad_matches_finite_differences_off_kink(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)

@@ -43,9 +43,13 @@ def svdgcl_logger_state():
 def infonce_layer_unfused(z, g, members, tau, want_grads):
     """The contrast layer as one fresh array per formula (np.eye included).
 
-    A frozen reference for losses._infonce_layer, which fuses the same
-    arithmetic into two in-place m x m buffers and must match it byte for
-    byte.
+    A frozen reference for losses._infonce_layer, which keeps one in-place
+    m x m buffer and applies 1/rowsum, the identity and 1/tau to m x d
+    products instead. Its loss must match this one byte for byte. Its
+    gradients drop the radial part as (an_i . G_i) an_i, G = ds @ bn, where
+    this one subtracts the row sums of ds * s; the two are equal by
+    sum_j ds_ij * s_ij = an_i . (ds @ bn)_i, so they agree to the last few
+    bits.
     """
     m = members.shape[0]
 
