@@ -46,8 +46,8 @@ print("== propagation: three rounds of neighbor mixing ==")
 hp = HyperParams(embed_dim=4, layers=3, seed=1)
 state = init_model(ds, hp)
 trace = forward(state, a)
-print(f"captured running states: {len(trace.h_user)} (embeddings + one per layer)")
-print(f"layer outputs kept for backprop: {len(trace.z_user)}")
+print(f"pre-activations kept for backprop: {len(trace.pre_z_user)} (one per layer)")
+print(f"adjacency each layer propagated through: {len(trace.dropped_adj)}")
 print("final user representations are the sum of every running state,")
 print("so deep smoothing never erases the identity carried by layer 0.")
 print("final_user shape:", trace.final_user.shape)

@@ -27,7 +27,6 @@ from .linalg import (
 from .losses import (
     LossReport,
     TrainBatch,
-    backward,
     bpr_loss,
     infonce_loss,
     l2_reg,
@@ -81,7 +80,6 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "approx_svd",
-    "backward",
     "bpr_loss",
     "build_adjacency",
     "edge_dropout",

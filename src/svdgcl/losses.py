@@ -7,11 +7,14 @@ checked against central finite differences in the test suite.
 The contrastive term's m x m softmax matrix dominates the step cost on
 real data, so the training loop uses loss_and_grads, which builds it once
 and reads both the loss value and its gradients off the same
-intermediates; total_loss and backward are thin views of the same code.
-Each contrast layer holds one m x m buffer, overwritten in place from the
-logits to the unnormalized softmax. The similarities themselves are never
-kept: the gradient needs only m x d products with that buffer, by the
-identity sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
+intermediates; total_loss is the loss-only view of the same code. The
+contrast reads only the member rows of each view, the layer outputs
+leaky_relu(pre[members]) of the trace's pre-activations, and
+infonce_loss runs the same per-side code on given tables. Each contrast
+layer holds one m x m buffer, overwritten in place from the logits to the
+unnormalized softmax. The similarities themselves are never kept: the
+gradient needs only m x d products with that buffer, by the identity
+sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from scipy.special import expit
 
 from .errors import DataError
 from .linalg import svd_propagate
-from .model import ForwardTrace, HyperParams, ModelState, leaky_relu_grad, spmm, spmm_t
+from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, spmm, spmm_t
 
 logger = logging.getLogger("svdgcl.objective")
 
@@ -157,13 +160,14 @@ def _normalize_rows(x: np.ndarray):
     return x / safe[:, None], norms
 
 
-def _infonce_layer(z: np.ndarray, g: np.ndarray, members: np.ndarray, tau: float, want_grads: bool):
-    """One layer's summed contrastive terms between two views.
+def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float, want_grads: bool):
+    """One layer's summed contrastive terms between the member rows a and b
+    of two views.
 
     Returns (loss_sum, ga, gb): loss_sum is the plain per-anchor sum (no
-    averaging, no weighting); ga/gb are d(loss_sum)/d(z rows), d/d(g rows)
-    restricted to the member rows, or None when grads were not asked for.
-    Zero-norm rows contribute similarity 0 and receive zero gradient.
+    averaging, no weighting); ga/gb are d(loss_sum)/da, d(loss_sum)/db, or
+    None when grads were not asked for. Zero-norm rows contribute
+    similarity 0 and receive zero gradient.
 
     One m x m buffer w holds the logits s / tau (s = an @ bn.T, the cosine
     similarities), then exp(logits - peak) in place; the loss comes off its
@@ -171,12 +175,12 @@ def _infonce_layer(z: np.ndarray, g: np.ndarray, members: np.ndarray, tau: float
     ds = (p - I) / tau with p = w / rowsum, is never formed: 1/rowsum, the
     identity and 1/tau act on the m x d products G = ds @ bn and
     H = ds.T @ an. The row normalization then takes from G_i its part along
-    an_i, (an_i . G_i) an_i = sum_j ds_ij s_ij an_i, and divides by |z_i|
-    (likewise H with bn and g), so no ds * s is formed either. The
+    an_i, (an_i . G_i) an_i = sum_j ds_ij s_ij an_i, and divides by |a_i|
+    (likewise H with bn and b), so no ds * s is formed either. The
     gradients match the unfused formulas to the last few bits.
     """
-    an, na = _normalize_rows(z[members])
-    bn, nb = _normalize_rows(g[members])
+    an, na = _normalize_rows(a)
+    bn, nb = _normalize_rows(b)
     w = an @ bn.T
     w /= tau
     diag = w.diagonal().copy()
@@ -203,6 +207,27 @@ def _infonce_layer(z: np.ndarray, g: np.ndarray, members: np.ndarray, tau: float
     return loss_sum, ga, gb
 
 
+def _contrast(a_layers, b_layers, tau: float, want_grads: bool):
+    """One side's contrast: the per-layer InfoNCE of the member rows
+    a_layers[t], b_layers[t], summed over layers and averaged over members.
+
+    Returns (loss, grads), grads holding each layer's (ga, gb) of the
+    unaveraged sum. Fewer than two members makes the contrast degenerate,
+    so the term is skipped with a warning and grads is None.
+    """
+    m = a_layers[0].shape[0]
+    if m < 2:
+        logger.warning("contrastive set has %d member(s); skipping the term", m)
+        return 0.0, None
+    total = 0.0
+    grads = []
+    for a, b in zip(a_layers, b_layers):
+        loss_sum, ga, gb = _infonce_layer(a, b, tau, want_grads)
+        total += loss_sum
+        grads.append((ga, gb))
+    return total / m, grads
+
+
 def infonce_loss(z_layers, g_layers, members: np.ndarray, tau: float) -> float:
     """Per-layer cosine InfoNCE between the two views, averaged over members.
 
@@ -212,16 +237,9 @@ def infonce_loss(z_layers, g_layers, members: np.ndarray, tau: float) -> float:
     a warning.
     """
     members = np.asarray(members, dtype=np.int64)
-    if members.shape[0] < 2:
-        logger.warning("contrastive set has %d member(s); skipping the term", members.shape[0])
-        return 0.0
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    total = 0.0
-    for z, g in zip(z_layers, g_layers):
-        loss_sum, _, _ = _infonce_layer(z, g, members, tau, want_grads=False)
-        total += loss_sum
-    return total / members.shape[0]
+    return _contrast([z[members] for z in z_layers], [g[members] for g in g_layers], tau, False)[0]
 
 
 def _cl_members(batch: TrainBatch, hp: HyperParams, num_users: int, num_items: int):
@@ -236,71 +254,42 @@ def total_loss(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
     With lambda1 == 0 the contrastive terms are not computed at all, which
     is what lets a run skip the reconstruction branch entirely.
     """
-    report, _, _ = _objective(trace, batch, state, hp, want_grads=False)
-    return report
-
-
-def backward(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams):
-    """Hand-accumulated gradients of the total loss w.r.t. both tables.
-
-    Needs the train-mode trace that produced the loss; eval traces carry no
-    dropout record and are rejected.
-    """
-    _, gu, gv = _objective(trace, batch, state, hp, want_grads=True)
-    return gu, gv
+    return _objective(trace, batch, state, hp, want_grads=False)[0]
 
 
 def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams):
-    """Loss report and both gradients off one set of intermediates."""
-    return _objective(trace, batch, state, hp, want_grads=True)
-
-
-def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams, want_grads: bool):
-    """Shared engine behind total_loss / backward / loss_and_grads.
+    """Loss report and both gradients off one set of intermediates.
 
     The gradient walks the residual stack top-down: each running state
     collects its direct share of the final sum, the residual carry, the
     graph-propagated term from the opposite side, and (when the contrast
-    is active) the reconstruction branch's term.
+    is active) the reconstruction branch's term. Needs the train-mode
+    trace that produced the loss.
     """
+    return _objective(trace, batch, state, hp, want_grads=True)
+
+
+def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams, want_grads: bool):
+    """Shared engine behind total_loss and loss_and_grads."""
     if want_grads and trace.mode != "train":
-        raise ValueError("backward needs a train-mode forward trace")
+        raise ValueError("gradients need a train-mode forward trace")
     layers = state.layers
     with_view = hp.lambda1 > 0
-    if with_view and (trace.g_user is None or trace.g_item is None):
+    if with_view and (trace.pre_g_user is None or trace.pre_g_item is None):
         raise ValueError("lambda1 > 0 needs a trace carrying the global view")
 
     rec = bpr_loss(trace, batch)
-    cl_u = cl_i = 0.0
-    z_grads_u: list = []
-    g_grads_u: list = []
-    z_grads_i: list = []
-    g_grads_i: list = []
-    members = None
+    # per side: (members, grads of each layer's contrast or None, gradient weight)
+    sides = []
     if with_view:
-        members_u, members_i = _cl_members(batch, hp, state.num_users, state.num_items)
-        members = (members_u, members_i)
-        for side, (mem, zs, gs, zg, gg) in enumerate(
-            (
-                (members_u, trace.z_user, trace.g_user, z_grads_u, g_grads_u),
-                (members_i, trace.z_item, trace.g_item, z_grads_i, g_grads_i),
+        members = _cl_members(batch, hp, state.num_users, state.num_items)
+        pre = ((trace.pre_z_user, trace.pre_g_user), (trace.pre_z_item, trace.pre_g_item))
+        for mem, (pre_z, pre_g) in zip(members, pre):
+            cl, grads = _contrast(
+                [leaky_relu(x[mem]) for x in pre_z], [leaky_relu(x[mem]) for x in pre_g], hp.temperature, want_grads
             )
-        ):
-            if mem.shape[0] < 2:
-                logger.warning("contrastive set has %d member(s); skipping the term", mem.shape[0])
-                zg.extend([None] * layers)
-                gg.extend([None] * layers)
-                continue
-            acc = 0.0
-            for t in range(layers):
-                loss_sum, ga, gb = _infonce_layer(zs[t], gs[t], mem, hp.temperature, want_grads)
-                acc += loss_sum
-                zg.append(ga)
-                gg.append(gb)
-            if side == 0:
-                cl_u = acc / members_u.shape[0]
-            else:
-                cl_i = acc / members_i.shape[0]
+            sides.append((mem, grads, cl))
+    cl_u, cl_i = (sides[0][2], sides[1][2]) if with_view else (0.0, 0.0)
     reg = l2_reg(state)
     total = rec + hp.lambda1 * (cl_u + cl_i) + hp.lambda2 * reg
     report = LossReport(total=total, rec_loss=rec, cl_loss_user=cl_u, cl_loss_item=cl_i, reg_loss=reg)
@@ -324,34 +313,29 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
 
     gu = gfu.copy()
     gv = gfv.copy()
+    pre_g = (trace.pre_g_user, trace.pre_g_item)
     for t in reversed(range(layers)):
-        dzu = gu
-        dzv = gv
-        if with_view:
-            members_u, members_i = members
-            if z_grads_u[t] is not None:
-                dzu = gu.copy()
-                dzu[members_u] += z_grads_u[t] * (hp.lambda1 / members_u.shape[0])
-            if z_grads_i[t] is not None:
-                dzv = gv.copy()
-                dzv[members_i] += z_grads_i[t] * (hp.lambda1 / members_i.shape[0])
-        dpre_zu = dzu * leaky_relu_grad(trace.pre_z_user[t])
-        dpre_zv = dzv * leaky_relu_grad(trace.pre_z_item[t])
+        # the contrast's share of each side's layer output, then of its pre_g
+        dz = [gu, gv]
+        dpre_g = [None, None]
+        for s, (mem, grads, _) in enumerate(sides):
+            if grads is None:
+                continue
+            weight = hp.lambda1 / mem.shape[0]
+            dz[s] = dz[s].copy()
+            dz[s][mem] += grads[t][0] * weight
+            dpre_g[s] = np.zeros_like(pre_g[s][t])
+            dpre_g[s][mem] = grads[t][1] * weight
+            dpre_g[s][mem] *= leaky_relu_grad(pre_g[s][t][mem])
+        dpre_zu = dz[0] * leaky_relu_grad(trace.pre_z_user[t])
+        dpre_zv = dz[1] * leaky_relu_grad(trace.pre_z_item[t])
         dropped = trace.dropped_adj[t]
         next_gu = gu + gfu + spmm(dropped, dpre_zv)
         next_gv = gv + gfv + spmm_t(dropped, dpre_zu)
-        if with_view:
-            members_u, members_i = members
-            if g_grads_u[t] is not None:
-                dpre_gu = np.zeros_like(trace.pre_g_user[t])
-                dpre_gu[members_u] = g_grads_u[t] * (hp.lambda1 / members_u.shape[0])
-                dpre_gu[members_u] *= leaky_relu_grad(trace.pre_g_user[t][members_u])
-                next_gv += svd_propagate(trace.svd_factors, dpre_gu, "item")
-            if g_grads_i[t] is not None:
-                dpre_gv = np.zeros_like(trace.pre_g_item[t])
-                dpre_gv[members_i] = g_grads_i[t] * (hp.lambda1 / members_i.shape[0])
-                dpre_gv[members_i] *= leaky_relu_grad(trace.pre_g_item[t][members_i])
-                next_gu += svd_propagate(trace.svd_factors, dpre_gv, "user")
+        if dpre_g[0] is not None:
+            next_gv += svd_propagate(trace.svd_factors, dpre_g[0], "item")
+        if dpre_g[1] is not None:
+            next_gu += svd_propagate(trace.svd_factors, dpre_g[1], "user")
         gu, gv = next_gu, next_gv
 
     gu += 2.0 * hp.lambda2 * state.e_user

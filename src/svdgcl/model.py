@@ -86,25 +86,20 @@ class ModelState:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate the forward pass produced, kept for backward.
+    """What the objective reads back from one forward pass.
 
-    Layer lists are indexed 0..layers-1 for layer outputs (z, g and their
-    pre-activations) and 0..layers for the running states h, where index 0
-    holds the embedding tables themselves. Global-view lists are None when
-    the reconstruction branch was skipped.
+    Per-layer lists run 0..layers-1: the pre-activations of the graph
+    branch (pre_z) and of the reconstruction branch (pre_g), and the
+    dropped adjacency each layer propagated through. Layer outputs are
+    leaky_relu of the pre-activations and are not stored; the objective
+    applies it to the rows it reads. The pre_g lists and svd_factors are
+    None when the reconstruction branch was skipped.
     """
 
     mode: str
-    z_user: list = field(default_factory=list)
-    z_item: list = field(default_factory=list)
-    g_user: list | None = None
-    g_item: list | None = None
-    h_user: list = field(default_factory=list)
-    h_item: list = field(default_factory=list)
     final_user: np.ndarray | None = None
     final_item: np.ndarray | None = None
-    dropout_masks: list | None = None
-    dropped_adj: list | None = None
+    dropped_adj: list = field(default_factory=list)
     pre_z_user: list = field(default_factory=list)
     pre_z_item: list = field(default_factory=list)
     pre_g_user: list | None = None
@@ -144,32 +139,22 @@ def spmm_t(a: csr_array, b: np.ndarray) -> np.ndarray:
     return a.T @ b
 
 
-def _drop_edges(a: csr_array, keep: np.ndarray, p: float) -> csr_array:
-    """a with survivors scaled by 1/(1-p) and dropped entries stored as zeros.
-
-    The result shares a's index arrays, so nothing is rebuilt or re-checked.
-    An explicit zero adds a signed zero to an accumulator that starts at
-    +0.0, so products equal those of the matrix without the dropped entries
-    whenever the dense operand is finite.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != a.data.shape:
-        raise ValueError("keep mask must have one flag per stored entry")
-    return csr_array((np.where(keep, a.data * (1.0 / (1.0 - p)), 0.0), a.indices, a.indptr), shape=a.shape)
-
-
 def edge_dropout(a: csr_array, p: float, rng: np.random.Generator):
     """Drop each stored edge with probability p, scaling survivors by 1/(1-p).
 
-    Returns the thinned matrix, on a's structure with dropped edges stored
-    as zeros, and the boolean keep mask, so the same draw can be replayed.
+    Returns the thinned matrix and the boolean keep mask. The matrix shares
+    a's index arrays and stores dropped edges as zeros, so nothing is
+    rebuilt or re-checked; an explicit zero adds a signed zero to an
+    accumulator that starts at +0.0, so products equal those of the matrix
+    without the dropped entries whenever the dense operand is finite. A
+    generator seeded like rng replays the same draw.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must lie in [0, 1)")
     if p == 0.0:
         return a, np.ones(a.nnz, dtype=bool)
     keep = rng.random(a.nnz) >= p
-    return _drop_edges(a, keep, p), keep
+    return csr_array((np.where(keep, a.data * (1.0 / (1.0 - p)), 0.0), a.indices, a.indptr), shape=a.shape), keep
 
 
 def forward(
@@ -179,14 +164,15 @@ def forward(
     hp: HyperParams | None = None,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    masks: list | None = None,
     with_global_view: bool | None = None,
 ) -> ForwardTrace:
-    """Run the propagation stack and capture a full trace.
+    """Run the propagation stack and capture what the objective needs.
 
     Train mode needs hp (for dropout_p and the branch gate) and draws
-    dropout masks from state.rng unless replay masks are supplied. Eval
-    mode drops nothing and skips the reconstruction branch unless asked.
+    dropout masks from rng, or from state.rng when rng is None; two
+    generators seeded alike replay the same masks. Eval mode drops nothing
+    and skips the reconstruction branch unless asked. The final tables are
+    the running states summed in layer order, embeddings first.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -202,51 +188,28 @@ def forward(
         with_global_view = mode == "train" and hp is not None and hp.lambda1 > 0
     if with_global_view and svd is None:
         raise ValueError("global view requested but no factorization given")
-    if masks is not None and len(masks) != state.layers:
-        raise ValueError("need one replay mask per layer")
 
     trace = ForwardTrace(mode=mode)
-    trace.h_user.append(state.e_user)
-    trace.h_item.append(state.e_item)
-    trace.dropout_masks = []
-    trace.dropped_adj = []
     if with_global_view:
-        trace.g_user, trace.g_item = [], []
         trace.pre_g_user, trace.pre_g_item = [], []
         trace.svd_factors = svd
-
     draw = rng if rng is not None else state.rng
-    for t in range(state.layers):
-        if masks is not None:
-            mask = np.asarray(masks[t], dtype=bool)
-            dropped = _drop_edges(a_norm, mask, p) if p > 0 else a_norm
-        elif p > 0:
-            dropped, mask = edge_dropout(a_norm, p, draw)
-        else:
-            dropped, mask = a_norm, np.ones(a_norm.nnz, dtype=bool)
-        trace.dropout_masks.append(mask)
+    hu, hv = state.e_user, state.e_item
+    fu, fv = hu.copy(), hv.copy()
+    for _ in range(state.layers):
+        dropped = edge_dropout(a_norm, p, draw)[0] if p > 0 else a_norm
         trace.dropped_adj.append(dropped)
-
-        hu_prev, hv_prev = trace.h_user[t], trace.h_item[t]
-        pre_zu = spmm(dropped, hv_prev)
-        pre_zv = spmm_t(dropped, hu_prev)
-        zu, zv = leaky_relu(pre_zu), leaky_relu(pre_zv)
+        pre_zu = spmm(dropped, hv)
+        pre_zv = spmm_t(dropped, hu)
         trace.pre_z_user.append(pre_zu)
         trace.pre_z_item.append(pre_zv)
-        trace.z_user.append(zu)
-        trace.z_item.append(zv)
         if with_global_view:
-            pre_gu = svd_propagate(svd, hv_prev, "user")
-            pre_gv = svd_propagate(svd, hu_prev, "item")
-            trace.pre_g_user.append(pre_gu)
-            trace.pre_g_item.append(pre_gv)
-            trace.g_user.append(leaky_relu(pre_gu))
-            trace.g_item.append(leaky_relu(pre_gv))
-        trace.h_user.append(zu + hu_prev)
-        trace.h_item.append(zv + hv_prev)
-
-    trace.final_user = np.add.reduce(trace.h_user)
-    trace.final_item = np.add.reduce(trace.h_item)
+            trace.pre_g_user.append(svd_propagate(svd, hv, "user"))
+            trace.pre_g_item.append(svd_propagate(svd, hu, "item"))
+        hu, hv = leaky_relu(pre_zu) + hu, leaky_relu(pre_zv) + hv
+        fu += hu
+        fv += hv
+    trace.final_user, trace.final_item = fu, fv
     return trace
 
 

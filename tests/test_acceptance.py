@@ -129,12 +129,12 @@ def test_criterion_03_gradient_correctness(capsys):
     state = init_model(ds, hp)
     svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=0)
     batch = sample_batch(ds, 8, np.random.default_rng(0))
-    trace = forward(state, a, svd=svd, hp=hp, mode="train")
-    masks = trace.dropout_masks
+    # every forward draws its dropout masks from a generator seeded alike
+    trace = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(420))
     _, gu, gi = loss_and_grads(trace, batch, state, hp)
 
     def loss_at():
-        t = forward(state, a, svd=svd, hp=hp, mode="train", masks=masks)
+        t = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(420))
         return total_loss(t, batch, state, hp).total
 
     h = 1e-5

@@ -5,6 +5,8 @@ from numpy primitives only, so any indexing or caching mistake in the
 traced version shows up as a mismatch.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -22,7 +24,7 @@ from svdgcl.model import (
     leaky_relu_grad,
     predict_scores,
 )
-from tests.util import tiny_dataset
+from tests.util import forward_keeping_lists, tiny_dataset
 
 
 def slope(x):
@@ -149,18 +151,20 @@ class TestEdgeDropout:
         assert abs(keep.mean() - (1.0 - p)) < 0.05
 
     def test_mask_replay_reproduces_matrix(self):
+        # two generators seeded alike draw the same masks
         ds = tiny_dataset()
         a = normalize_adjacency(build_adjacency(ds))
         hp = HyperParams(embed_dim=3, layers=2, dropout_p=0.4, lambda1=0.0, seed=4)
         state = init_model(ds, hp)
-        t1 = forward(state, a, hp=hp, mode="train")
-        t2 = forward(state, a, hp=hp, mode="train", masks=t1.dropout_masks)
+        t1 = forward(state, a, hp=hp, mode="train", rng=np.random.default_rng(9))
+        t2 = forward(state, a, hp=hp, mode="train", rng=np.random.default_rng(9))
         for drawn, replayed in zip(t1.dropped_adj, t2.dropped_adj):
             for name in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(drawn, name), getattr(replayed, name))
         dropped, keep = edge_dropout(a, 0.4, np.random.default_rng(4))
-        replay = forward(state, a, hp=hp, mode="train", masks=[keep, keep]).dropped_adj[0]
+        replay = forward(state, a, hp=hp, mode="train", rng=np.random.default_rng(4)).dropped_adj[0]
         np.testing.assert_array_equal(dropped.data, replay.data)
+        assert not np.array_equal(t1.dropped_adj[0].data, replay.data)
 
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
@@ -180,9 +184,9 @@ class TestForward:
         fu, fi, _, _ = dense_forward(self.state, self.a.toarray(), None, 3, False)
         np.testing.assert_allclose(trace.final_user, fu, atol=1e-10)
         np.testing.assert_allclose(trace.final_item, fi, atol=1e-10)
-        assert trace.g_user is None and trace.g_item is None
-        assert len(trace.h_user) == 4 and len(trace.z_user) == 3
-        np.testing.assert_array_equal(trace.h_user[0], self.state.e_user)
+        assert trace.pre_g_user is None and trace.pre_g_item is None and trace.svd_factors is None
+        assert len(trace.pre_z_user) == len(trace.pre_z_item) == len(trace.dropped_adj) == 3
+        assert all(d is self.a for d in trace.dropped_adj)
 
     def test_train_with_view_matches_dense_reference(self):
         trace = forward(self.state, self.a, svd=self.svd, hp=self.hp, mode="train")
@@ -190,10 +194,10 @@ class TestForward:
         fu, fi, gu, gi = dense_forward(self.state, self.a.toarray(), recon, 3, True)
         np.testing.assert_allclose(trace.final_user, fu, atol=1e-10)
         np.testing.assert_allclose(trace.final_item, fi, atol=1e-10)
-        for got, want in zip(trace.g_user, gu):
-            np.testing.assert_allclose(got, want, atol=1e-10)
-        for got, want in zip(trace.g_item, gi):
-            np.testing.assert_allclose(got, want, atol=1e-10)
+        for got, want in zip(trace.pre_g_user, gu):
+            np.testing.assert_allclose(leaky_relu(got), want, atol=1e-10)
+        for got, want in zip(trace.pre_g_item, gi):
+            np.testing.assert_allclose(leaky_relu(got), want, atol=1e-10)
         assert trace.svd_factors is self.svd
 
     def test_view_never_feeds_predictions(self):
@@ -204,22 +208,48 @@ class TestForward:
         np.testing.assert_array_equal(t1.final_item, t2.final_item)
 
     def test_dropout_masks_replay(self):
+        # a copy of the train stream replays the draw; the stream itself advances
         hp = HyperParams(embed_dim=6, layers=2, svd_rank=2, dropout_p=0.5, seed=3)
         state = init_model(self.ds, hp)
+        replay = copy.deepcopy(state.rng)
         t1 = forward(state, self.a, svd=self.svd, hp=hp, mode="train")
-        t2 = forward(state, self.a, svd=self.svd, hp=hp, mode="train", masks=t1.dropout_masks)
+        t2 = forward(state, self.a, svd=self.svd, hp=hp, mode="train", rng=replay)
         np.testing.assert_array_equal(t1.final_user, t2.final_user)
         np.testing.assert_array_equal(t1.final_item, t2.final_item)
-        assert len(t1.dropout_masks) == 2
+        assert len(t1.dropped_adj) == 2
         # train rng advanced, so a fresh draw differs
         t3 = forward(state, self.a, svd=self.svd, hp=hp, mode="train")
         assert not np.array_equal(t1.final_user, t3.final_user)
 
-    def test_mask_count_checked(self):
+    def test_replay_generator_leaves_the_train_stream(self):
         hp = HyperParams(embed_dim=6, layers=2, svd_rank=2, dropout_p=0.5, seed=3)
         state = init_model(self.ds, hp)
-        with pytest.raises(ValueError, match="replay mask"):
-            forward(state, self.a, svd=self.svd, hp=hp, mode="train", masks=[np.ones(1, bool)])
+        untouched = copy.deepcopy(state.rng)
+        forward(state, self.a, svd=self.svd, hp=hp, mode="train", rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(state.rng.random(8), untouched.random(8))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+    @pytest.mark.parametrize("with_view", [True, False])
+    def test_bytes_match_list_keeping_forward(self, layers, dropout_p, with_view):
+        hp = HyperParams(embed_dim=6, layers=layers, svd_rank=2, dropout_p=dropout_p, seed=3)
+        state = init_model(self.ds, hp)
+        trace = forward(
+            state, self.a, svd=self.svd, hp=hp, mode="train", rng=np.random.default_rng(5), with_global_view=with_view
+        )
+        want = forward_keeping_lists(state, self.a, self.svd, hp, "train", np.random.default_rng(5), with_view)
+        assert trace.final_user.tobytes() == want["final_user"].tobytes()
+        assert trace.final_item.tobytes() == want["final_item"].tobytes()
+        names = ["pre_z_user", "pre_z_item"] + (["pre_g_user", "pre_g_item"] if with_view else [])
+        for name in names:
+            got = getattr(trace, name)
+            assert len(got) == layers
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want[name])), name
+        if not with_view:
+            assert trace.pre_g_user is None and trace.pre_g_item is None
+        for got, w in zip(trace.dropped_adj, want["dropped"]):
+            assert got.data.tobytes() == w.data.tobytes()
+            assert got.indices.tobytes() == w.indices.tobytes() and got.indptr.tobytes() == w.indptr.tobytes()
 
     def test_mode_and_requirement_validation(self):
         with pytest.raises(ValueError, match="mode"):

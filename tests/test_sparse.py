@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse import csr_array
 
 from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
-from svdgcl.model import _drop_edges, edge_dropout, spmm, spmm_t
+from svdgcl.model import edge_dropout, spmm, spmm_t
 
 
 def dense_by_loops(a):
@@ -117,8 +117,7 @@ class TestSelect:
         rng = np.random.default_rng(3)
         a = random_sparse(rng, 8, 6, 25)
         dense = dense_by_loops(a)
-        keep = rng.random(25) < 0.6
-        b = _drop_edges(a, keep, 0.6)
+        b, keep = edge_dropout(a, 0.6, rng)
         expect = np.zeros((8, 6))
         rows = np.repeat(np.arange(8), np.diff(a.indptr))
         for flag, r, c, v in zip(keep, rows, a.indices, a.data):
@@ -133,9 +132,13 @@ class TestSelect:
         np.testing.assert_array_equal(dense_by_loops(a), dense)
 
     def test_select_mask_length_checked(self):
-        a = build_adjacency(dataset(2, 2, [[0, 0]]))
-        with pytest.raises(ValueError, match="one flag per stored entry"):
-            _drop_edges(a, np.array([True, False]), 0.5)
+        # one keep flag per stored entry, including entries stored as zero
+        a = random_sparse(np.random.default_rng(4), 5, 4, 12)
+        a.data[:3] = 0.0
+        b, keep = edge_dropout(a, 0.5, np.random.default_rng(5))
+        assert keep.dtype == bool and keep.shape == (a.nnz,) == b.data.shape
+        _, again = edge_dropout(b, 0.5, np.random.default_rng(5))
+        assert again.shape == (a.nnz,)
 
 
 class TestMultiplication:

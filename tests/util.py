@@ -3,10 +3,13 @@
 import logging
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from svdgcl.errors import DataError
 from svdgcl.interactions import InteractionDataset
+from svdgcl.linalg import svd_propagate
 from svdgcl.losses import MAX_NEG_TRIES, TrainBatch, _train_keys
+from svdgcl.model import leaky_relu, spmm, spmm_t
 
 
 def tiny_dataset(num_users=8, num_items=10):
@@ -166,3 +169,38 @@ def sample_batch_full_scan(ds, batch_size, rng):
         allowed = np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), held, assume_unique=True)
         neg[j] = allowed[rng.integers(allowed.shape[0])]
     return TrainBatch(users=users, pos_items=pos, neg_items=neg)
+
+
+def forward_keeping_lists(state, a_norm, svd, hp, mode, rng, with_global_view):
+    """Frozen copy of the forward pass that kept every running state h, layer
+    output z and view output g in lists and summed the h list at the end
+    with np.add.reduce.
+
+    Returns a dict of the lists the trace still carries (pre_z, pre_g,
+    dropped) and the finals, for byte comparisons with model.forward, which
+    carries h in two variables and adds each into the finals as it goes.
+    """
+    p = hp.dropout_p if mode == "train" else 0.0
+    h_user, h_item = [state.e_user], [state.e_item]
+    out = {"pre_z_user": [], "pre_z_item": [], "pre_g_user": [], "pre_g_item": [], "dropped": []}
+    for t in range(state.layers):
+        if p > 0:
+            keep = rng.random(a_norm.nnz) >= p
+            data = np.where(keep, a_norm.data * (1.0 / (1.0 - p)), 0.0)
+            dropped = csr_array((data, a_norm.indices, a_norm.indptr), shape=a_norm.shape)
+        else:
+            dropped = a_norm
+        out["dropped"].append(dropped)
+        hu_prev, hv_prev = h_user[t], h_item[t]
+        pre_zu = spmm(dropped, hv_prev)
+        pre_zv = spmm_t(dropped, hu_prev)
+        out["pre_z_user"].append(pre_zu)
+        out["pre_z_item"].append(pre_zv)
+        if with_global_view:
+            out["pre_g_user"].append(svd_propagate(svd, hv_prev, "user"))
+            out["pre_g_item"].append(svd_propagate(svd, hu_prev, "item"))
+        h_user.append(leaky_relu(pre_zu) + hu_prev)
+        h_item.append(leaky_relu(pre_zv) + hv_prev)
+    out["final_user"] = np.add.reduce(h_user)
+    out["final_item"] = np.add.reduce(h_item)
+    return out
