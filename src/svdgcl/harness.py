@@ -24,7 +24,7 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
 from .interactions import build_adjacency, load_interactions, normalize_adjacency
-from .linalg import approx_svd, reset_svd_run_count, svd_run_count
+from .linalg import approx_svd
 from .losses import loss_and_grads, sample_batch
 from .metrics import EvalResult, evaluate
 from .model import HyperParams, forward, init_model
@@ -44,25 +44,14 @@ FULL_POPULATION_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
-class RunConfig:
+class RunConfig(HyperParams):
     """Flat run configuration; JSON files and --key=value overrides map
-    one-to-one onto these fields."""
+    one-to-one onto these fields. The training knobs are HyperParams',
+    so a RunConfig is itself the hp a run trains with."""
 
     train_path: str | None = None
     test_path: str | None = None
     val_path: str | None = None
-    embed_dim: int = 64
-    layers: int = 2
-    svd_rank: int = 5
-    dropout_p: float = 0.1
-    temperature: float = 1.0
-    lambda1: float = 0.05
-    lambda2: float = 1e-5
-    learning_rate: float = 3e-3
-    batch_size: int = 1024
-    epochs: int = 200
-    seed: int = 42
-    cl_scope: str = "in-batch"
     eval_every: int = 5
     eval_ks: list = field(default_factory=lambda: [20])
     checkpoint_dir: str = "checkpoints"
@@ -98,17 +87,16 @@ class RunConfig:
             raise ConfigError(f"eval_ks must be a list of integers: {exc}") from exc
         if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigError("eval_ks must contain positive cutoffs")
-        # surface hyperparameter range errors at config time too
-        self.to_hyperparams()
-
-    def to_hyperparams(self) -> HyperParams:
-        return HyperParams(**{f.name: getattr(self, f.name) for f in dataclasses.fields(HyperParams)})
+        super().__post_init__()
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def digest(self) -> str:
-        return hashlib.sha256(json.dumps(self.as_dict(), sort_keys=True).encode("utf-8")).hexdigest()
+        """Hash of every field but the paths: it names the knobs, not the data
+        or where it lives."""
+        knobs = {k: v for k, v in self.as_dict().items() if k not in _PATH_FIELDS}
+        return hashlib.sha256(json.dumps(knobs, sort_keys=True).encode("utf-8")).hexdigest()
 
     @classmethod
     def from_sources(cls, json_path=None, overrides=()) -> "RunConfig":
@@ -224,6 +212,16 @@ class TrainResult:
     svd_runs: int
 
 
+def _load_graph(config: RunConfig):
+    """The configured dataset and its normalized adjacency."""
+    if config.train_path is None or config.test_path is None:
+        raise ConfigError("train_path and test_path are required")
+    ds = load_interactions(
+        config.train_path, config.test_path, config.val_path, val_fraction=config.val_fraction, seed=config.seed
+    )
+    return ds, normalize_adjacency(build_adjacency(ds))
+
+
 def _log_eval(epoch: int, res: EvalResult, ks):
     parts = [f"recall@{k}={res.recall[k]:.6f} ndcg@{k}={res.ndcg[k]:.6f}" for k in ks]
     logger.info("eval epoch=%d %s users=%d", epoch, " ".join(parts), res.users_evaluated)
@@ -237,23 +235,14 @@ def _primary_k(ks) -> int:
 def run_training(config: RunConfig) -> TrainResult:
     """Full training pipeline, early-stopped on validation recall.
 
-    The graph factorization runs exactly once per call (checked); with
-    lambda1 == 0 it is skipped entirely along with the whole global-view
-    branch. The best-by-validation checkpoint is what gets evaluated on
-    test at the end; without a validation signal the last epoch wins.
+    The config is the run's hyperparameters. The graph factorization runs
+    exactly once per call; with lambda1 == 0 it is skipped entirely along
+    with the whole global-view branch. The best-by-validation checkpoint is
+    what gets evaluated on test at the end; without a validation signal the
+    last epoch wins.
     """
-    if config.train_path is None or config.test_path is None:
-        raise ConfigError("train_path and test_path are required")
-    reset_svd_run_count()
-    hp = config.to_hyperparams()
-    ds = load_interactions(
-        config.train_path,
-        config.test_path,
-        config.val_path,
-        val_fraction=config.val_fraction,
-        seed=hp.seed,
-    )
-    if hp.lambda1 > 0 and hp.cl_scope == "full-population":
+    ds, a_norm = _load_graph(config)
+    if config.lambda1 > 0 and config.cl_scope == "full-population":
         members = max(ds.num_users, ds.num_items)
         need = 8 * members**2
         if need > FULL_POPULATION_BUDGET_BYTES:
@@ -261,20 +250,21 @@ def run_training(config: RunConfig) -> TrainResult:
                 f"cl_scope='full-population' needs {need} bytes for the contrast buffer of {members} "
                 f"members, over the {FULL_POPULATION_BUDGET_BYTES}-byte budget; use cl_scope='in-batch'"
             )
-    a_norm = normalize_adjacency(build_adjacency(ds))
-    state = init_model(ds, hp)
+    state = init_model(ds, config)
     opt = init_optimizer(state)
     svd = None
-    if hp.lambda1 > 0:
+    if config.lambda1 > 0:
         svd = approx_svd(
-            a_norm, hp.svd_rank, oversample=config.svd_oversample, power_iters=config.svd_power_iters, seed=hp.seed
+            a_norm,
+            config.svd_rank,
+            oversample=config.svd_oversample,
+            power_iters=config.svd_power_iters,
+            seed=config.seed,
         )
-        if svd_run_count() != 1:
-            raise RuntimeError(f"the factorization must run exactly once, ran {svd_run_count()} times")
 
     ks = sorted(set(config.eval_ks))
     primary = _primary_k(ks)
-    batches = max(1, math.ceil(ds.train.shape[0] / hp.batch_size))
+    batches = max(1, math.ceil(ds.train.shape[0] / config.batch_size))
     val_available = ds.validation.shape[0] > 0
     ckpt_path = Path(config.checkpoint_dir) / "best.ckpt"
     best_metric = -1.0
@@ -283,13 +273,13 @@ def run_training(config: RunConfig) -> TrainResult:
     epoch_seconds: list = []
     epochs_run = 0
 
-    for epoch in range(1, hp.epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         t0 = perf_counter()
         sums = np.zeros(5)
         for _ in range(batches):
-            batch = sample_batch(ds, hp.batch_size, state.rng)
-            trace = forward(state, a_norm, svd, hp, mode="train")
-            report, gu, gv = loss_and_grads(trace, batch, state, hp)
+            batch = sample_batch(ds, config.batch_size, state.rng)
+            trace = forward(state, a_norm, svd, config, mode="train")
+            report, gu, gv = loss_and_grads(trace, batch, state, config)
             parts = (report.rec_loss, report.cl_loss_user, report.cl_loss_item, report.reg_loss, report.total)
             if not all(math.isfinite(x) for x in parts):
                 raise NumericalError(
@@ -301,7 +291,7 @@ def run_training(config: RunConfig) -> TrainResult:
                         f"non-finite {table} gradient in epoch {epoch}; last fully finite epoch was {epoch - 1}"
                     )
             sums += parts
-            adam_step(state, opt, gu, gv, hp.learning_rate)
+            adam_step(state, opt, gu, gv, config.learning_rate)
         epoch_seconds.append(perf_counter() - t0)
         mean = sums / batches
         logger.info(
@@ -317,7 +307,7 @@ def run_training(config: RunConfig) -> TrainResult:
                 best_metric = metric
                 best_epoch = epoch
                 ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-                save_checkpoint(ckpt_path, state, opt, hp.svd_rank, config.digest())
+                save_checkpoint(ckpt_path, state, opt, config.svd_rank, config.digest())
                 stale = 0
             else:
                 stale += 1
@@ -326,30 +316,25 @@ def run_training(config: RunConfig) -> TrainResult:
                     break
 
     checkpoint_used: str | None = None
-    if hp.epochs > 0:
+    if config.epochs > 0:
         if best_epoch is not None:
             loaded = load_checkpoint(ckpt_path)
             state, opt = loaded.state, loaded.opt
         else:
             # no validation signal: the final state is the artifact
             ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(ckpt_path, state, opt, hp.svd_rank, config.digest())
+            save_checkpoint(ckpt_path, state, opt, config.svd_rank, config.digest())
         checkpoint_used = str(ckpt_path)
 
     test_result = evaluate(state, a_norm, svd, ds, ks, split="test")
     _log_eval(epochs_run, test_result, ks)
-    expected_runs = 1 if hp.lambda1 > 0 else 0
-    if svd_run_count() != expected_runs:
-        raise RuntimeError(
-            f"the factorization count drifted during the run: {svd_run_count()} runs, expected {expected_runs}"
-        )
     return TrainResult(
         test_result=test_result,
         best_epoch=best_epoch,
         epochs_run=epochs_run,
         checkpoint_path=checkpoint_used,
         epoch_seconds=epoch_seconds,
-        svd_runs=svd_run_count(),
+        svd_runs=1 if svd is not None else 0,
     )
 
 
@@ -359,22 +344,13 @@ def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
 
     The logged epoch field carries the checkpoint's optimizer step count.
     """
-    if config.train_path is None or config.test_path is None:
-        raise ConfigError("train_path and test_path are required")
-    ds = load_interactions(
-        config.train_path,
-        config.test_path,
-        config.val_path,
-        val_fraction=config.val_fraction,
-        seed=config.seed,
-    )
+    ds, a_norm = _load_graph(config)
     loaded: Checkpoint = load_checkpoint(checkpoint_path)
     if loaded.state.num_users != ds.num_users or loaded.state.num_items != ds.num_items:
         raise DataError(
             f"checkpoint tables are {loaded.state.num_users}x{loaded.state.num_items} "
             f"but the dataset is {ds.num_users}x{ds.num_items}"
         )
-    a_norm = normalize_adjacency(build_adjacency(ds))
     ks = sorted(set(config.eval_ks))
     res = evaluate(loaded.state, a_norm, None, ds, ks, split="test")
     _log_eval(loaded.step, res, ks)
@@ -389,16 +365,7 @@ def run_svd_report(config: RunConfig):
     larger ones get the energy-difference bound computed from the stored
     entries and the returned spectrum.
     """
-    if config.train_path is None or config.test_path is None:
-        raise ConfigError("train_path and test_path are required")
-    ds = load_interactions(
-        config.train_path,
-        config.test_path,
-        config.val_path,
-        val_fraction=config.val_fraction,
-        seed=config.seed,
-    )
-    a_norm = normalize_adjacency(build_adjacency(ds))
+    ds, a_norm = _load_graph(config)
     factors = approx_svd(
         a_norm,
         config.svd_rank,

@@ -20,20 +20,6 @@ logger = logging.getLogger("svdgcl.linalg")
 # refuse dense factorizations whose small dimension exceeds this
 MAX_EXACT_SVD_DIM = 500
 
-# how many truncated factorizations ran since the last reset; the training
-# harness checks this stays at exactly one per run
-_svd_runs = 0
-
-
-def svd_run_count() -> int:
-    return _svd_runs
-
-
-def reset_svd_run_count():
-    global _svd_runs
-    _svd_runs = 0
-
-
 def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column space of m.
 
@@ -146,7 +132,6 @@ def approx_svd(a: csr_array, r: int, oversample: int = 8, power_iters: int = 4, 
         Seeds the Gaussian sketch; the result is a pure function of
         (a, r, oversample, power_iters, seed).
     """
-    global _svd_runs
     if r < 1:
         raise ValueError("rank must be at least 1")
     if oversample < 0 or power_iters < 0:
@@ -170,7 +155,6 @@ def approx_svd(a: csr_array, r: int, oversample: int = 8, power_iters: int = 4, 
     keep = min(r, small.rank)
     u = q @ small.u_r[:, :keep]
     u, v = _fix_signs(u, small.v_r[:, :keep])
-    _svd_runs += 1
     factors = SvdFactors(u_r=u, s_r=small.s_r[:keep], v_r=v, rank=keep)
     logger.debug("singular values %s", " ".join(f"{x:.12g}" for x in factors.s_r))
     return factors

@@ -273,23 +273,21 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
     """Shared engine behind total_loss and loss_and_grads."""
     if want_grads and trace.mode != "train":
         raise ValueError("gradients need a train-mode forward trace")
-    layers = state.layers
     with_view = hp.lambda1 > 0
     if with_view and (trace.pre_g_user is None or trace.pre_g_item is None):
         raise ValueError("lambda1 > 0 needs a trace carrying the global view")
 
     rec = bpr_loss(trace, batch)
-    # per side: (members, grads of each layer's contrast or None, gradient weight)
+    # per side, user then item: members, contrast loss, each layer's (ga, gb) or None
     sides = []
+    pre_g = (trace.pre_g_user, trace.pre_g_item)
     if with_view:
         members = _cl_members(batch, hp, state.num_users, state.num_items)
-        pre = ((trace.pre_z_user, trace.pre_g_user), (trace.pre_z_item, trace.pre_g_item))
-        for mem, (pre_z, pre_g) in zip(members, pre):
-            cl, grads = _contrast(
-                [leaky_relu(x[mem]) for x in pre_z], [leaky_relu(x[mem]) for x in pre_g], hp.temperature, want_grads
-            )
-            sides.append((mem, grads, cl))
-    cl_u, cl_i = (sides[0][2], sides[1][2]) if with_view else (0.0, 0.0)
+        for mem, pre_z, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
+            z_rows = [leaky_relu(x[mem]) for x in pre_z]
+            g_rows = [leaky_relu(x[mem]) for x in pre_gs]
+            sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature, want_grads)))
+    cl_u, cl_i = (sides[0][1], sides[1][1]) if sides else (0.0, 0.0)
     reg = l2_reg(state)
     total = rec + hp.lambda1 * (cl_u + cl_i) + hp.lambda2 * reg
     report = LossReport(total=total, rec_loss=rec, cl_loss_user=cl_u, cl_loss_item=cl_i, reg_loss=reg)
@@ -313,20 +311,18 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
 
     gu = gfu.copy()
     gv = gfv.copy()
-    pre_g = (trace.pre_g_user, trace.pre_g_item)
-    for t in reversed(range(layers)):
+    for t in reversed(range(state.layers)):
         # the contrast's share of each side's layer output, then of its pre_g
         dz = [gu, gv]
         dpre_g = [None, None]
-        for s, (mem, grads, _) in enumerate(sides):
+        for s, (mem, _, grads) in enumerate(sides):
             if grads is None:
                 continue
             weight = hp.lambda1 / mem.shape[0]
             dz[s] = dz[s].copy()
             dz[s][mem] += grads[t][0] * weight
             dpre_g[s] = np.zeros_like(pre_g[s][t])
-            dpre_g[s][mem] = grads[t][1] * weight
-            dpre_g[s][mem] *= leaky_relu_grad(pre_g[s][t][mem])
+            dpre_g[s][mem] = grads[t][1] * weight * leaky_relu_grad(pre_g[s][t][mem])
         dpre_zu = dz[0] * leaky_relu_grad(trace.pre_z_user[t])
         dpre_zv = dz[1] * leaky_relu_grad(trace.pre_z_item[t])
         dropped = trace.dropped_adj[t]

@@ -308,6 +308,12 @@ def test_criterion_08_public_dataset(capsys, tmp_path):
 
 
 def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
+    """Identical config and seed give identical logs, and a checkpoint
+    reload reproduces the metrics bit for bit. The checkpoint's config
+    digest identifies the hyperparameters, not the data: it leaves the
+    paths out, so the same data in another directory gives the same
+    checkpoint bytes."""
+
     def cfg(name, log):
         paths = generate_blocks(tmp_path / name, 50, 50, 2, 0.05, 42)
         return RunConfig(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdgcl import harness
+from svdgcl import harness, linalg
 from svdgcl.checkpoint import load_checkpoint, save_checkpoint
 from svdgcl.errors import ConfigError, DataError, NumericalError
 from svdgcl.harness import (
@@ -52,17 +52,14 @@ def small_config(tmp_path, name="data", **over):
 class TestRunConfig:
     def test_defaults_probe_cleanly(self):
         cfg = RunConfig()
-        assert cfg.to_hyperparams().embed_dim == cfg.embed_dim
+        assert isinstance(cfg, HyperParams)
 
     def test_hyperparams_mirror_run_config_fields(self):
-        run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        # a RunConfig is a valid HyperParams with the same defaults
+        cfg = RunConfig()
+        assert isinstance(cfg, HyperParams)
         for f in dataclasses.fields(HyperParams):
-            assert f.name in run_fields, f.name
-            assert run_fields[f.name].default == f.default, f.name
-        cfg = RunConfig(embed_dim=7, layers=3, cl_scope="full-population", seed=5)
-        assert dataclasses.asdict(cfg.to_hyperparams()) == {
-            f.name: getattr(cfg, f.name) for f in dataclasses.fields(HyperParams)
-        }
+            assert getattr(cfg, f.name) == getattr(HyperParams(), f.name), f.name
 
     @pytest.mark.parametrize(
         "bad",
@@ -89,6 +86,11 @@ class TestRunConfig:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
         json.dumps(a.as_dict())
+
+    def test_digest_names_the_knobs_not_the_files(self):
+        a = RunConfig(seed=1, train_path="x/train.txt", test_path="x/test.txt", checkpoint_dir="x/ck")
+        b = RunConfig(seed=1, train_path="y/train.txt", test_path="y/test.txt", val_path="y/val.txt", log_path="y.log")
+        assert a.digest() == b.digest() == RunConfig(seed=1).digest()
 
     def test_from_sources_layering(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -325,16 +327,34 @@ class TestTraining:
         assert cfg.digest() == as_str.digest()
         assert load_checkpoint(res.checkpoint_path).config_digest == as_str.digest()
 
-    def test_factorization_count_checked(self, tmp_path, monkeypatch):
-        real = harness.approx_svd
+    def test_checkpoint_bytes_do_not_depend_on_file_location(self, tmp_path):
+        base = small_config(tmp_path, epochs=6)
+        ckpts = []
+        for place in (tmp_path / "here", tmp_path / "there" / "deeper"):
+            place.mkdir(parents=True)
+            copied = {}
+            for key in ("train_path", "test_path", "val_path"):
+                source = Path(getattr(base, key))
+                copied[key] = str(place / source.name)
+                Path(copied[key]).write_bytes(source.read_bytes())
+            cfg = dataclasses.replace(base, checkpoint_dir=str(place / "ck"), log_path=str(place / "run.log"), **copied)
+            ckpts.append(Path(run_training(cfg).checkpoint_path).read_bytes())
+        assert ckpts[0] == ckpts[1]
 
-        def factorize_twice(*args, **kwargs):
-            real(*args, **kwargs)
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize("lambda1, runs", [(0.3, 1), (0.0, 0)])
+    def test_factorizes_exactly_once_per_run(self, tmp_path, monkeypatch, lambda1, runs):
+        calls = []
+        for module in (harness, linalg):
+            real = module.approx_svd
 
-        monkeypatch.setattr(harness, "approx_svd", factorize_twice)
-        with pytest.raises(RuntimeError, match="exactly once, ran 2 times"):
-            run_training(small_config(tmp_path, epochs=1))
+            def counted(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "approx_svd", counted)
+        res = run_training(small_config(tmp_path, epochs=6, eval_every=2, lambda1=lambda1))
+        assert res.best_epoch is not None  # the run made validation evals
+        assert len(calls) == runs == res.svd_runs
 
     def test_non_finite_gradient_stops_before_the_update(self, tmp_path, monkeypatch):
         real_init, real_grads = harness.init_optimizer, harness.loss_and_grads

@@ -16,9 +16,7 @@ from svdgcl.linalg import (
     approx_svd,
     exact_svd_dense,
     qr_orthonormalize,
-    reset_svd_run_count,
     svd_propagate,
-    svd_run_count,
 )
 
 
@@ -162,15 +160,6 @@ class TestApproxSvd:
             approx_svd(a, 0)
         with pytest.raises(ValueError):
             approx_svd(a, 5)
-
-    def test_run_counter_increments(self):
-        reset_svd_run_count()
-        a = sparse_from_dense(np.eye(6) * 2.0)
-        approx_svd(a, 2, oversample=2, seed=0)
-        approx_svd(a, 2, oversample=2, seed=1)
-        assert svd_run_count() == 2
-        reset_svd_run_count()
-        assert svd_run_count() == 0
 
 
 class TestFactoredPropagation:
