@@ -37,11 +37,6 @@ LOG_ENV_VAR = "SVDGCL_LOG"
 _OPTIONAL_PATHS = ("val_path", "log_path")
 _PATH_FIELDS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
 
-# cl_scope="full-population" contrasts every user and every item at once; the
-# contrast layer's one m x m float64 buffer (8 * m**2 bytes for the larger
-# side) must fit here
-FULL_POPULATION_BUDGET_BYTES = 1 << 30
-
 
 @dataclass
 class RunConfig(HyperParams):
@@ -242,14 +237,6 @@ def run_training(config: RunConfig) -> TrainResult:
     last epoch wins.
     """
     ds, a_norm = _load_graph(config)
-    if config.lambda1 > 0 and config.cl_scope == "full-population":
-        members = max(ds.num_users, ds.num_items)
-        need = 8 * members**2
-        if need > FULL_POPULATION_BUDGET_BYTES:
-            raise ConfigError(
-                f"cl_scope='full-population' needs {need} bytes for the contrast buffer of {members} "
-                f"members, over the {FULL_POPULATION_BUDGET_BYTES}-byte budget; use cl_scope='in-batch'"
-            )
     state = init_model(ds, config)
     opt = init_optimizer(state)
     svd = None

@@ -11,9 +11,10 @@ intermediates; total_loss is the loss-only view of the same code. The
 contrast reads only the member rows of each view, the layer outputs
 leaky_relu(pre[members]) of the trace's pre-activations, and
 infonce_loss runs the same per-side code on given tables. Each contrast
-layer holds one m x m buffer, overwritten in place from the logits to the
-unnormalized softmax. The similarities themselves are never kept: the
-gradient needs only m x d products with that buffer, by the identity
+layer walks its anchors in row blocks, one block of at most
+CONTRAST_BLOCK_BYTES at a time, overwritten in place from the logits to
+the unnormalized softmax. The similarities are never kept: the gradient
+needs only m x d products with each block, by the identity
 sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
 """
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu
 logger = logging.getLogger("svdgcl.objective")
 
 MAX_NEG_TRIES = 100
+# bytes of one block of float64 contrast logits, anchor rows x all m members
+CONTRAST_BLOCK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -169,37 +172,44 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float, want_grads: bool):
     None when grads were not asked for. Zero-norm rows contribute
     similarity 0 and receive zero gradient.
 
-    One m x m buffer w holds the logits s / tau (s = an @ bn.T, the cosine
-    similarities), then exp(logits - peak) in place; the loss comes off its
-    row sums, byte for byte the unfused formulas. The gradient in s,
-    ds = (p - I) / tau with p = w / rowsum, is never formed: 1/rowsum, the
-    identity and 1/tau act on the m x d products G = ds @ bn and
-    H = ds.T @ an. The row normalization then takes from G_i its part along
-    an_i, (an_i . G_i) an_i = sum_j ds_ij s_ij an_i, and divides by |a_i|
+    The anchors run in row blocks; one buffer w of at most
+    CONTRAST_BLOCK_BYTES holds a block's logits s / tau against all m members
+    (s = an @ bn.T, the cosine similarities), then exp(logits - peak) in
+    place; the loss comes off its row sums, byte for byte the unfused
+    formulas. The gradient in s, ds = (p - I) / tau with p = w / rowsum, is
+    never formed: 1/rowsum acts on the m x d products G = w @ bn and
+    H = w.T @ (an / rowsum), summed over blocks, then the identity and 1/tau.
+    The row normalization takes from G_i its part along an_i,
+    (an_i . G_i) an_i = sum_j ds_ij s_ij an_i, and divides by |a_i|
     (likewise H with bn and b), so no ds * s is formed either. The
     gradients match the unfused formulas to the last few bits.
     """
     an, na = _normalize_rows(a)
     bn, nb = _normalize_rows(b)
-    w = an @ bn.T
-    w /= tau
-    diag = w.diagonal().copy()
-    peak = w.max(axis=1, keepdims=True)
-    w -= peak
-    np.exp(w, out=w)
-    rowsum = w.sum(axis=1, keepdims=True)
-    lse = peak[:, 0] + np.log(rowsum[:, 0])
-    loss_sum = float(np.sum(lse - diag))
+    m = an.shape[0]
+    rows = max(1, CONTRAST_BLOCK_BYTES // (8 * m))
+    terms = np.empty(m)
+    ga = np.empty_like(an) if want_grads else None
+    for lo in range(0, m, rows):
+        blk = slice(lo, lo + rows)
+        w = an[blk] @ bn.T
+        w /= tau
+        diag = w[:, blk].diagonal().copy()
+        peak = w.max(axis=1, keepdims=True)
+        w -= peak
+        np.exp(w, out=w)
+        rowsum = w.sum(axis=1, keepdims=True)
+        terms[blk] = peak[:, 0] + np.log(rowsum[:, 0]) - diag
+        if want_grads:
+            np.divide(w @ bn, rowsum, out=ga[blk])
+            h = w.T @ (an[blk] / rowsum)
+            gb = h if lo == 0 else np.add(gb, h, out=gb)
+    loss_sum = float(np.sum(terms))
     if not want_grads:
         return loss_sum, None, None
-    ga = w @ bn
-    ga /= rowsum
-    ga -= bn
-    ga /= tau
-    gb = w.T @ (an / rowsum)
-    gb -= an
-    gb /= tau
-    for grad, unit, norms in ((ga, an, na), (gb, bn, nb)):
+    for grad, unit, norms, own in ((ga, an, na, bn), (gb, bn, nb, an)):
+        grad -= own
+        grad /= tau
         grad -= np.einsum("ij,ij->i", grad, unit)[:, None] * unit
         ok = norms > 0
         grad[ok] /= norms[ok, None]

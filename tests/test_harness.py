@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svdgcl import harness, linalg
+from svdgcl import harness, linalg, losses
 from svdgcl.checkpoint import load_checkpoint, save_checkpoint
 from svdgcl.errors import ConfigError, DataError, NumericalError
 from svdgcl.harness import (
@@ -386,19 +386,20 @@ class TestTraining:
         assert all(np.array_equal(a, b) for a, b in zip(seen["before"], after))
         assert opt.step == seen["step"] == 2
 
-    def test_full_population_over_budget_rejected_before_training(self, tmp_path, monkeypatch):
-        need = 8 * 24**2  # one float64 m x m buffer for 24 members, the larger side
-        monkeypatch.setattr(harness, "FULL_POPULATION_BUDGET_BYTES", need - 1)
-        cfg = small_config(tmp_path, epochs=1, cl_scope="full-population")
-        with monkeypatch.context() as mp:
-            mp.setattr(harness, "sample_batch", None)  # a step would raise TypeError
-            with pytest.raises(ConfigError, match=f"needs {need} bytes"):
-                run_training(cfg)
-        # the in-batch scope and a run without the contrast are not limited
-        run_training(small_config(tmp_path, name="ib", epochs=1))
-        run_training(small_config(tmp_path, name="nocl", epochs=1, cl_scope="full-population", lambda1=0.0))
-        monkeypatch.setattr(harness, "FULL_POPULATION_BUDGET_BYTES", need)
-        assert run_training(cfg).epochs_run == 1
+    def test_full_population_trains_in_small_contrast_blocks(self, tmp_path, monkeypatch):
+        # 24 users and 24 items: one anchor row per block against one block
+        # of all 24; the logs print 6 decimals, past the blocks' last bits
+        logs = {}
+        for name, budget in (("one", losses.CONTRAST_BLOCK_BYTES), ("rows", 1)):
+            monkeypatch.setattr(losses, "CONTRAST_BLOCK_BYTES", budget)
+            log = tmp_path / f"{name}.log"
+            cfg = small_config(
+                tmp_path, name=name, epochs=3, eval_every=1, cl_scope="full-population", log_path=str(log)
+            )
+            assert run_training(cfg).epochs_run == 3
+            logs[name] = log.read_text()
+        assert "cl_u=0.000000" not in logs["one"]
+        assert logs["rows"] == logs["one"]
 
 
 class TestEval:

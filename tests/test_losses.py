@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from svdgcl import losses
 from svdgcl.errors import DataError
 from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
 from svdgcl.linalg import approx_svd
@@ -28,7 +29,7 @@ from svdgcl.losses import (
     total_loss,
 )
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model, leaky_relu
-from tests.util import infonce_layer_unfused, sample_batch_full_scan, tiny_dataset
+from tests.util import infonce_layer_one_buffer, infonce_layer_unfused, sample_batch_full_scan, tiny_dataset
 
 
 def nce_oracle(z_layers, g_layers, members, tau):
@@ -310,6 +311,79 @@ class TestFusedContrastLayer:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * m * m
+
+
+def contrast_rows(m, zero_row, d=16):
+    """Member rows of two views for a contrast of m members, with one zero
+    row in the named view (if any) at m // 2."""
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, d))
+    b = rng.standard_normal((m, d))
+    if zero_row == "z":
+        a[m // 2] = 0.0
+    elif zero_row == "g":
+        b[m // 2] = 0.0
+    return a, b
+
+
+class TestBlockedContrastLayer:
+    """The anchor-blocked layer against the one-buffer layer it replaced:
+    byte for byte when every anchor fits one block, to the last few bits
+    when the blocks are smaller."""
+
+    @pytest.mark.parametrize("m", [2, 3, 301, 1191, 1682])
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
+    @pytest.mark.parametrize("zero_row", [None, "z", "g"])
+    @pytest.mark.parametrize("want_grads", [True, False])
+    def test_one_block_bytes_match_one_buffer_layer(self, m, tau, zero_row, want_grads):
+        assert losses.CONTRAST_BLOCK_BYTES >= 8 * m * m
+        a, b = contrast_rows(m, zero_row)
+        got = _infonce_layer(a, b, tau, want_grads)
+        want = infonce_layer_one_buffer(a, b, tau, want_grads)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        if not want_grads:
+            assert got[1] is None and got[2] is None
+            return
+        for x, y in zip(got[1:], want[1:]):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 301, 1191])
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
+    @pytest.mark.parametrize("zero_row", [None, "z", "g"])
+    @pytest.mark.parametrize("block_rows", ["one", "64", "half"])
+    def test_small_blocks_match_one_buffer_layer(self, monkeypatch, m, tau, zero_row, block_rows):
+        # one row per block; 64 rows (uneven last block past 64 members);
+        # just over half the rows (an uneven last block from 3 members up)
+        rows = {"one": 1, "64": 64, "half": m // 2 + 1}[block_rows]
+        monkeypatch.setattr(losses, "CONTRAST_BLOCK_BYTES", 8 * m * rows)
+        a, b = contrast_rows(m, zero_row)
+        got = _infonce_layer(a, b, tau, True)
+        want = infonce_layer_one_buffer(a, b, tau, True)
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        assert got[0] == _infonce_layer(a, b, tau, False)[0]
+        for x, y in zip(got[1:], want[1:]):
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+        if zero_row == "z":
+            assert not got[1][m // 2].any()
+        elif zero_row == "g":
+            assert not got[2][m // 2].any()
+
+    def test_peak_allocation_follows_the_block_budget(self, monkeypatch):
+        # the one-buffer layer peaks at about 1.34 * 8 * m**2 here
+        m = 1000
+        monkeypatch.setattr(losses, "CONTRAST_BLOCK_BYTES", 8 * m * m // 8)
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((m, 64))
+        g = rng.standard_normal((m, 64))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _infonce_layer(z, g, 0.7, True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 8 * m * m
 
 
 class TestScatterRows:

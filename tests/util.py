@@ -87,6 +87,48 @@ def infonce_layer_unfused(z, g, members, tau, want_grads):
     return loss_sum, ga, gb
 
 
+def infonce_layer_one_buffer(a, b, tau, want_grads):
+    """Frozen copy of losses._infonce_layer as one m x m buffer over all
+    anchors at once, before it walked its anchors in blocks.
+
+    With every anchor in one block the blocked layer must match this byte
+    for byte; with smaller blocks its products sum in another grouping, so
+    it matches to the last few bits.
+    """
+
+    def normalize_rows(x):
+        norms = np.linalg.norm(x, axis=1)
+        safe = np.where(norms > 0, norms, 1.0)
+        return x / safe[:, None], norms
+
+    an, na = normalize_rows(a)
+    bn, nb = normalize_rows(b)
+    w = an @ bn.T
+    w /= tau
+    diag = w.diagonal().copy()
+    peak = w.max(axis=1, keepdims=True)
+    w -= peak
+    np.exp(w, out=w)
+    rowsum = w.sum(axis=1, keepdims=True)
+    lse = peak[:, 0] + np.log(rowsum[:, 0])
+    loss_sum = float(np.sum(lse - diag))
+    if not want_grads:
+        return loss_sum, None, None
+    ga = w @ bn
+    ga /= rowsum
+    ga -= bn
+    ga /= tau
+    gb = w.T @ (an / rowsum)
+    gb -= an
+    gb /= tau
+    for grad, unit, norms in ((ga, an, na), (gb, bn, nb)):
+        grad -= np.einsum("ij,ij->i", grad, unit)[:, None] * unit
+        ok = norms > 0
+        grad[ok] /= norms[ok, None]
+        grad[~ok] = 0.0
+    return loss_sum, ga, gb
+
+
 def rank_items_argsort(scores, masked, k):
     """The k best unmasked items by a full stable argsort (lower index wins ties)."""
     scores = np.asarray(scores, dtype=np.float64)
