@@ -217,6 +217,25 @@ def _load_graph(config: RunConfig):
     return ds, normalize_adjacency(build_adjacency(ds))
 
 
+def _factorize(config: RunConfig, a_norm):
+    """The configured truncated SVD of the normalized graph; a rank the
+    graph is too small for is a configuration error."""
+    try:
+        return approx_svd(
+            a_norm,
+            config.svd_rank,
+            oversample=config.svd_oversample,
+            power_iters=config.svd_power_iters,
+            seed=config.seed,
+        )
+    except ValueError as exc:
+        rows, cols = a_norm.shape
+        raise ConfigError(
+            f"svd_rank={config.svd_rank} with svd_oversample={config.svd_oversample} "
+            f"does not fit the {rows}x{cols} graph: {exc}"
+        ) from exc
+
+
 def _log_eval(epoch: int, res: EvalResult, ks):
     parts = [f"recall@{k}={res.recall[k]:.6f} ndcg@{k}={res.ndcg[k]:.6f}" for k in ks]
     logger.info("eval epoch=%d %s users=%d", epoch, " ".join(parts), res.users_evaluated)
@@ -239,15 +258,7 @@ def run_training(config: RunConfig) -> TrainResult:
     ds, a_norm = _load_graph(config)
     state = init_model(ds, config)
     opt = init_optimizer(state)
-    svd = None
-    if config.lambda1 > 0:
-        svd = approx_svd(
-            a_norm,
-            config.svd_rank,
-            oversample=config.svd_oversample,
-            power_iters=config.svd_power_iters,
-            seed=config.seed,
-        )
+    svd = _factorize(config, a_norm) if config.lambda1 > 0 else None
 
     ks = sorted(set(config.eval_ks))
     primary = _primary_k(ks)
@@ -353,13 +364,7 @@ def run_svd_report(config: RunConfig):
     entries and the returned spectrum.
     """
     ds, a_norm = _load_graph(config)
-    factors = approx_svd(
-        a_norm,
-        config.svd_rank,
-        oversample=config.svd_oversample,
-        power_iters=config.svd_power_iters,
-        seed=config.seed,
-    )
+    factors = _factorize(config, a_norm)
     logger.info("singular_values %s", " ".join(f"{x:.12g}" for x in factors.s_r))
     fro2 = float(np.sum(a_norm.data**2))
     if ds.num_users * ds.num_items <= 1_000_000:

@@ -61,6 +61,8 @@ class HyperParams:
             raise ConfigError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.cl_scope not in ("in-batch", "full-population"):
             raise ConfigError(f"cl_scope must be 'in-batch' or 'full-population', got {self.cl_scope!r}")
 

@@ -38,6 +38,8 @@ def generate_blocks(
         raise ConfigError("block sizes and count must be at least 1")
     if not 0.0 <= noise_p <= 1.0:
         raise ConfigError("noise_p must lie in [0, 1]")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))

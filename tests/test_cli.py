@@ -3,6 +3,10 @@
 import argparse
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,3 +177,49 @@ class TestSvdReportCommand:
         assert "singular_values " in out
         assert "residual_rel=" in out
         assert "method=dense" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestConfigErrorsInAFreshProcess:
+    """Bad values that numpy or the factorization would reject end in the
+    CLI's one-line error and exit code 1, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cfgerr") / "d"
+        # 40 users, 24 items
+        assert run(["synth", "--out-dir", str(d), "--users-per-block", "20", "--items-per-block", "12",
+                    "--blocks", "2", "--noise-p", "0", "--seed", "1"]) == 0
+        return d
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["train", "--seed=-1"], "seed must be non-negative"),
+            (["synth", "--out-dir", "{d}/neg", "--seed", "-1"], "seed must be non-negative"),
+            (["train", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
+            (["svd-report", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
+        ],
+        ids=["train-seed", "synth-seed", "train-rank", "svd-report-rank"],
+    )
+    def test_exits_one_with_an_error_line(self, data, tmp_path, argv, message):
+        argv = [a.format(d=tmp_path) for a in argv]
+        if argv[0] != "synth":
+            argv += [
+                "--train-path", str(data / "train.txt"),
+                "--test-path", str(data / "test.txt"),
+                "--val-path", str(data / "val.txt"),
+                "--epochs", "1",
+                "--checkpoint-dir", str(tmp_path / "ck"),
+            ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        done = subprocess.run(
+            [sys.executable, "-m", "svdgcl"] + argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 1, done.stderr[-2000:]
+        assert done.stderr.startswith("error:")
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr

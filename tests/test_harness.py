@@ -433,6 +433,15 @@ class TestEval:
 
 
 class TestSvdReport:
+    def test_rank_too_large_for_the_graph_is_a_config_error(self, tmp_path):
+        # 24 x 24 graph: a sketch of 20 + 8 columns does not fit
+        cfg = small_config(tmp_path, epochs=1, svd_rank=20)
+        for call in (run_svd_report, run_training):
+            with pytest.raises(ConfigError, match=r"svd_rank=20 with svd_oversample=8 does not fit the 24x24 graph"):
+                call(cfg)
+        # without the contrast nothing is factorized, so any rank trains
+        assert run_training(dataclasses.replace(cfg, lambda1=0.0)).epochs_run == 1
+
     def test_dense_residual_on_small_graph(self, tmp_path):
         cfg = small_config(tmp_path, svd_rank=4)
         factors, resid = run_svd_report(cfg)

@@ -67,6 +67,7 @@ class TestHyperParams:
             dict(learning_rate=0.0),
             dict(batch_size=0),
             dict(epochs=-1),
+            dict(seed=-1),
             dict(cl_scope="sometimes"),
         ],
     )

@@ -1,0 +1,20 @@
+"""Rules the package source keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "svdgcl").glob("*.py"))
+
+
+def test_sources_are_found():
+    assert len(SOURCES) >= 10
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statements(path):
+    # python -O strips assert, so invariants must raise explicit errors
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert on lines {lines}"

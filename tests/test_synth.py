@@ -109,6 +109,7 @@ class TestValidation:
             dict(blocks=0),
             dict(noise_p=-0.1),
             dict(noise_p=1.5),
+            dict(seed=-1),
         ],
     )
     def test_bad_arguments_rejected(self, tmp_path, kwargs):
