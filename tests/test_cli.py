@@ -3,17 +3,15 @@
 import argparse
 import json
 import logging
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from svdgcl import cli
 from svdgcl.errors import NumericalError
-from tests.util import svdgcl_logger_state
+from tests.util import src_env, svdgcl_logger_state
 
 
 # every RunConfig field is a train flag; the list is written out so that a
@@ -179,9 +177,6 @@ class TestSvdReportCommand:
         assert "method=dense" in out
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
 class TestConfigErrorsInAFreshProcess:
     """Bad values that numpy or the factorization would reject end in the
     CLI's one-line error and exit code 1, never a traceback."""
@@ -190,8 +185,18 @@ class TestConfigErrorsInAFreshProcess:
     def data(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("cfgerr") / "d"
         # 40 users, 24 items
-        assert run(["synth", "--out-dir", str(d), "--users-per-block", "20", "--items-per-block", "12",
-                    "--blocks", "2", "--noise-p", "0", "--seed", "1"]) == 0
+        code = run(
+            [
+                "synth",
+                "--out-dir", str(d),
+                "--users-per-block", "20",
+                "--items-per-block", "12",
+                "--blocks", "2",
+                "--noise-p", "0",
+                "--seed", "1",
+            ]
+        )
+        assert code == 0
         return d
 
     @pytest.mark.parametrize(
@@ -214,10 +219,8 @@ class TestConfigErrorsInAFreshProcess:
                 "--epochs", "1",
                 "--checkpoint-dir", str(tmp_path / "ck"),
             ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         done = subprocess.run(
-            [sys.executable, "-m", "svdgcl"] + argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-m", "svdgcl"] + argv, cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 1, done.stderr[-2000:]
         assert done.stderr.startswith("error:")

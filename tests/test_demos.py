@@ -4,12 +4,13 @@ Each demo runs in its own interpreter from a fresh temporary working
 directory, with the package importable from src/, and must exit 0.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tests.util import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -21,9 +22,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]

@@ -1,6 +1,8 @@
 """Shared fixtures-by-hand for the unit tests."""
 
 import logging
+import os
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -34,6 +36,15 @@ def tiny_dataset(num_users=8, num_items=10):
         user_id_map={f"u{u}": u for u in range(num_users)},
         item_id_map={f"i{i}": i for i in range(num_items)},
     )
+
+
+def src_env():
+    """This process's environment with the checkout's src/ first on
+    PYTHONPATH, for running the package in a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def svdgcl_logger_state():
