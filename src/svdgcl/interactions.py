@@ -30,12 +30,12 @@ def _as_pair_array(pairs) -> np.ndarray:
     return arr
 
 
-def _duplicate_rows(arr: np.ndarray) -> bool:
-    if arr.shape[0] < 2:
-        return False
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    s = arr[order]
-    return bool(np.any(np.all(np.diff(s, axis=0) == 0, axis=1)))
+def _pair_index(pairs: np.ndarray, num_users: int, num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    keys = np.sort(pairs[:, 0] * num_items + pairs[:, 1])
+    return keys, np.searchsorted(keys, np.arange(num_users + 1) * num_items)
+
+
+SPLITS = ("train", "validation", "test")
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class InteractionDataset:
 
     Splits are (n, 2) ``[user, item]`` index arrays kept in ingestion order,
     so writing them back out reproduces the original files byte for byte.
+    Construction also indexes the train split once (see pair_index), and
+    negative sampling, validation, the graph and evaluation all read it.
     """
 
     num_users: int
@@ -53,28 +55,32 @@ class InteractionDataset:
     test: np.ndarray
     user_id_map: dict[str, int] = field(default_factory=dict)
     item_id_map: dict[str, int] = field(default_factory=dict)
+    train_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    train_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "train", _as_pair_array(self.train))
-        object.__setattr__(self, "validation", _as_pair_array(self.validation))
-        object.__setattr__(self, "test", _as_pair_array(self.test))
+        for name in SPLITS:
+            object.__setattr__(self, name, _as_pair_array(getattr(self, name)))
         self._validate()
 
     def _validate(self):
-        for name, arr in (("train", self.train), ("validation", self.validation), ("test", self.test)):
+        keys = {}
+        for name in SPLITS:
+            arr = getattr(self, name)
             if arr.size:
                 if arr[:, 0].min() < 0 or arr[:, 0].max() >= self.num_users:
                     raise ProtocolError(f"{name} split has a user index out of range")
                 if arr[:, 1].min() < 0 or arr[:, 1].max() >= self.num_items:
                     raise ProtocolError(f"{name} split has an item index out of range")
-            if _duplicate_rows(arr):
+            keys[name], offsets = _pair_index(arr, self.num_users, self.num_items)
+            if np.any(keys[name][1:] == keys[name][:-1]):
                 raise ProtocolError(f"{name} split contains duplicate pairs")
-        train_keys = self.train[:, 0] * self.num_items + self.train[:, 1]
-        for name, arr in (("validation", self.validation), ("test", self.test)):
-            keys = arr[:, 0] * self.num_items + arr[:, 1]
-            # both key sets are duplicate-free by now; without assume_unique
-            # np.isin would dedup them again through a far slower hash table
-            overlap = np.sort(keys[np.isin(keys, train_keys, assume_unique=True)])[:5]
+            if name == "train":
+                object.__setattr__(self, "train_keys", keys[name])
+                object.__setattr__(self, "train_offsets", offsets)
+        for name in ("validation", "test"):
+            held = keys[name]
+            overlap = held[self.in_train(*np.divmod(held, self.num_items))][:5]
             if overlap.size:
                 pairs = [(int(k // self.num_items), int(k % self.num_items)) for k in overlap]
                 raise ProtocolError(f"train and {name} overlap on pairs {pairs}")
@@ -85,6 +91,23 @@ class InteractionDataset:
                 if bad.size:
                     raise ProtocolError(f"test {what} absent from train: {bad.tolist()}")
 
+    def in_train(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """Whether each (user, item) pair is a train pair, by binary search
+        over train_keys."""
+        probe = users * self.num_items + items
+        pos = np.searchsorted(self.train_keys, probe)
+        hit = pos < self.train_keys.shape[0]
+        hit[hit] = self.train_keys[pos[hit]] == probe[hit]
+        return hit
+
+    def pair_index(self, split: str = "train") -> tuple[np.ndarray, np.ndarray]:
+        """One split's pairs as ascending keys ``user * num_items + item``,
+        plus per-user offsets: user u's keys are ``keys[offsets[u]:offsets[u + 1]]``.
+        The train split's are built once, as train_keys and train_offsets."""
+        if split == "train":
+            return self.train_keys, self.train_offsets
+        return _pair_index(getattr(self, "validation" if split == "val" else split), self.num_users, self.num_items)
+
     def summary(self) -> str:
         return (
             f"dataset M={self.num_users} N={self.num_items} "
@@ -93,16 +116,9 @@ class InteractionDataset:
 
     def items_by_user(self, split: str = "train") -> list[np.ndarray]:
         """Item indices per user for one split, each ascending."""
-        arr = getattr(self, "validation" if split == "val" else split)
-        out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * self.num_users
-        if arr.size == 0:
-            return out
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        users, items = arr[order, 0], arr[order, 1]
-        bounds = np.flatnonzero(np.diff(users)) + 1
-        for uid, chunk in zip(users[np.r_[0, bounds]], np.split(items, bounds)):
-            out[int(uid)] = chunk
-        return out
+        keys, offsets = self.pair_index(split)
+        items = keys % self.num_items
+        return [items[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def _read_pair_lines(path) -> list[tuple[str, str]]:
@@ -208,9 +224,10 @@ def write_pair_files(ds: InteractionDataset, train_path, test_path, val_path=Non
 def build_adjacency(ds: InteractionDataset) -> csr_array:
     """Binary user-item adjacency over the train split only, in canonical
     CSR form (columns ascending within each row), which fixes the order in
-    which every product sums a row."""
-    ones = np.ones(ds.train.shape[0], dtype=np.float64)
-    return csr_array((ones, (ds.train[:, 0], ds.train[:, 1])), shape=(ds.num_users, ds.num_items))
+    which every product sums a row. The train index is that form already:
+    its offsets are the row pointers, its keys mod num_items the columns."""
+    ones = np.ones(ds.train_keys.shape[0], dtype=np.float64)
+    return csr_array((ones, ds.train_keys % ds.num_items, ds.train_offsets.copy()), shape=(ds.num_users, ds.num_items))
 
 
 def normalize_adjacency(a: csr_array) -> csr_array:

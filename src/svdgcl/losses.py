@@ -70,29 +70,6 @@ class LossReport:
     reg_loss: float
 
 
-class _TrainKeys:
-    """Sorted encodings of train pairs for O(log n) membership tests."""
-
-    def __init__(self, ds):
-        self.num_items = ds.num_items
-        self.keys = np.sort(ds.train[:, 0] * np.int64(ds.num_items) + ds.train[:, 1])
-
-    def contains(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        probe = users * np.int64(self.num_items) + items
-        pos = np.searchsorted(self.keys, probe)
-        hit = pos < self.keys.shape[0]
-        hit[hit] = self.keys[pos[hit]] == probe[hit]
-        return hit
-
-
-def _train_keys(ds) -> _TrainKeys:
-    cached = ds.__dict__.get("_train_keys_cache")
-    if cached is None:
-        cached = _TrainKeys(ds)
-        ds.__dict__["_train_keys_cache"] = cached
-    return cached
-
-
 def sample_batch(ds, batch_size: int, rng: np.random.Generator) -> TrainBatch:
     """Uniform-with-replacement positives plus rejection-sampled negatives.
 
@@ -104,7 +81,6 @@ def sample_batch(ds, batch_size: int, rng: np.random.Generator) -> TrainBatch:
         raise ValueError("batch_size must be at least 1")
     if ds.train.shape[0] == 0:
         raise DataError("cannot sample from an empty train split")
-    keys = _train_keys(ds)
     idx = rng.integers(ds.train.shape[0], size=batch_size)
     users = ds.train[idx, 0]
     pos = ds.train[idx, 1]
@@ -113,14 +89,12 @@ def sample_batch(ds, batch_size: int, rng: np.random.Generator) -> TrainBatch:
     for _ in range(MAX_NEG_TRIES):
         cand = rng.integers(ds.num_items, size=pending.shape[0])
         neg[pending] = cand
-        pending = pending[keys.contains(users[pending], cand)]
+        pending = pending[ds.in_train(users[pending], cand)]
         if pending.size == 0:
             break
     for j in pending:
         u = int(users[j])
-        # keys run user-major, so the user's items are one ascending run
-        lo, hi = np.searchsorted(keys.keys, [u * ds.num_items, (u + 1) * ds.num_items])
-        held = keys.keys[lo:hi] - u * ds.num_items
+        held = ds.train_keys[ds.train_offsets[u] : ds.train_offsets[u + 1]] % ds.num_items
         if held.shape[0] >= ds.num_items:
             raise DataError(f"user {u} interacts with every item; no negative exists")
         allowed = np.setdiff1d(np.arange(ds.num_items, dtype=np.int64), held, assume_unique=True)

@@ -86,19 +86,15 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     if not ks or ks[0] < 1:
         raise ValueError("cutoffs must be positive")
     m, n = ds.num_users, ds.num_items
-    held = getattr(ds, "validation" if split == "val" else split)
-    held = held[np.argsort(held[:, 0], kind="stable")]
-    held_user, held_item = held[:, 0], held[:, 1]
-    relevant = np.bincount(held_user, minlength=m)
+    held_keys, held_ptr = ds.pair_index(split)
+    held_user, held_item = np.divmod(held_keys, n)
+    relevant = np.diff(held_ptr)
     users = np.flatnonzero(relevant)
     if users.size == 0:
         return EvalResult(recall={k: 0.0 for k in ks}, ndcg={k: 0.0 for k in ks}, users_evaluated=0)
-    train = ds.train[np.argsort(ds.train[:, 0], kind="stable")]
-    train_ptr = np.concatenate(([0], np.cumsum(np.bincount(train[:, 0], minlength=m))))
-    held_ptr = np.concatenate(([0], np.cumsum(relevant)))
     rows = max(1, SCORE_BLOCK_BYTES // (8 * n))
     cols = np.arange(n)
-    rank = np.empty(held.shape[0], dtype=np.int64)
+    rank = np.empty(held_keys.shape[0], dtype=np.int64)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         if held_ptr[lo] == held_ptr[hi]:
@@ -106,8 +102,8 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
         scores = score_block(lo, hi)
         if not np.isfinite(scores).all():
             raise NumericalError(f"non-finite scores for users {lo}..{hi - 1}: the final embeddings hold NaN or inf")
-        t0, t1 = train_ptr[lo], train_ptr[hi]
-        scores[train[t0:t1, 0] - lo, train[t0:t1, 1]] = -np.inf
+        # a train key less lo * n is its flat position in the block
+        np.put(scores, ds.train_keys[ds.train_offsets[lo] : ds.train_offsets[hi]] - lo * n, -np.inf)
         for c0 in range(held_ptr[lo], held_ptr[hi], rows):
             c1 = min(c0 + rows, held_ptr[hi])
             cand = scores[held_user[c0:c1] - lo]

@@ -10,7 +10,7 @@ from scipy.sparse import csr_array
 from svdgcl.errors import DataError
 from svdgcl.interactions import InteractionDataset
 from svdgcl.linalg import svd_propagate
-from svdgcl.losses import MAX_NEG_TRIES, TrainBatch, _train_keys
+from svdgcl.losses import MAX_NEG_TRIES, TrainBatch
 from svdgcl.model import leaky_relu, spmm, spmm_t
 
 
@@ -202,7 +202,6 @@ def metrics_over_users_loop(ds, ks, score_row, split="test"):
 def sample_batch_full_scan(ds, batch_size, rng):
     """Frozen copy of sample_batch whose fallback finds a straggler's items
     by scanning all of ds.train, as it once did."""
-    keys = _train_keys(ds)
     idx = rng.integers(ds.train.shape[0], size=batch_size)
     users = ds.train[idx, 0]
     pos = ds.train[idx, 1]
@@ -211,7 +210,7 @@ def sample_batch_full_scan(ds, batch_size, rng):
     for _ in range(MAX_NEG_TRIES):
         cand = rng.integers(ds.num_items, size=pending.shape[0])
         neg[pending] = cand
-        pending = pending[keys.contains(users[pending], cand)]
+        pending = pending[ds.in_train(users[pending], cand)]
         if pending.size == 0:
             break
     for j in pending:
