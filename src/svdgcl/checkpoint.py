@@ -116,9 +116,15 @@ def load_checkpoint(path) -> Checkpoint:
     (words,) = struct.unpack("<Q", take(8))
     if words != _RNG_WORDS:
         raise DataError(f"unexpected RNG state size {words}")
-    rng_words = np.frombuffer(take(words * 8), dtype="<u8").copy()
+    try:
+        rng = _unpack_rng(np.frombuffer(take(words * 8), dtype="<u8"))
+    except OverflowError as exc:
+        raise DataError(f"checkpoint {path} holds an invalid RNG state: {exc}") from exc
     (digest_len,) = struct.unpack("<Q", take(8))
-    digest = bytes(take(digest_len)).decode("utf-8")
+    try:
+        digest = bytes(take(digest_len)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint {path} has a config digest that is not UTF-8: {exc}") from exc
     if off != len(blob):
         raise DataError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
 
@@ -127,7 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
         e_item=e_item,
         layers=int(layers),
         embed_dim=int(k),
-        rng=_unpack_rng(rng_words),
+        rng=rng,
     )
     opt = OptimizerState(
         m_user=m_user,

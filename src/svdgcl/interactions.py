@@ -94,7 +94,7 @@ class InteractionDataset:
     def in_train(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Whether each (user, item) pair is a train pair, by binary search
         over train_keys."""
-        probe = users * self.num_items + items
+        probe = users * np.int64(self.num_items) + items
         pos = np.searchsorted(self.train_keys, probe)
         hit = pos < self.train_keys.shape[0]
         hit[hit] = self.train_keys[pos[hit]] == probe[hit]
@@ -161,8 +161,10 @@ def _holdout_validation(train: np.ndarray, test: np.ndarray, fraction: float, se
         raise ValueError("holdout fraction must be in [0, 1)")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, HOLDOUT_STREAM])))
     moved = np.zeros(train.shape[0], dtype=bool)
-    for uid in np.unique(train[:, 0]):
-        pos = np.flatnonzero(train[:, 0] == uid)
+    # users ascending, each user's positions ascending: the draw order of a scan per user
+    order = np.argsort(train[:, 0], kind="stable")
+    starts = np.flatnonzero(np.diff(train[order, 0])) + 1
+    for pos in np.split(order, starts):
         k = int(np.floor(fraction * pos.size))
         if k < 1 or pos.size - k < 1:
             continue

@@ -43,6 +43,7 @@ class HyperParams:
     cl_scope: str = "in-batch"
 
     def __post_init__(self):
+        # float checks are written so that NaN, which fails every comparison, fails them
         if self.embed_dim < 1:
             raise ConfigError("embed_dim must be at least 1")
         if self.layers < 1:
@@ -51,11 +52,11 @@ class HyperParams:
             raise ConfigError("svd_rank must be at least 1")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError("temperature must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ConfigError("loss weights must be non-negative")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")

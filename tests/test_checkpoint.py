@@ -91,6 +91,45 @@ class TestCorruption:
             with pytest.raises(DataError):
                 load_checkpoint(bad)
 
+    def test_every_byte_overwrite_and_truncation_loads_or_is_a_data_error(self, tmp_path):
+        # 614 bytes: 8 users, 10 items, 1-dim tables, a 6-byte digest
+        state, opt = fresh(k=1)
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(path, state, opt, svd_rank=4, config_digest="abc123")
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for pos in range(len(blob)):
+            for value in (0x00, 0xFF, 0x80, 0x7F):
+                bad.write_bytes(blob[:pos] + bytes([value]) + blob[pos + 1 :])
+                try:
+                    load_checkpoint(bad)
+                    outcomes["loaded"] += 1
+                except DataError:
+                    outcomes["rejected"] += 1
+        for cut in range(len(blob)):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match="truncated|bad magic"):
+                load_checkpoint(bad)
+        # table bytes are free-form floats; header, RNG and digest bytes are checked
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
+
+    def test_invalid_rng_word_and_digest_are_data_errors(self, tmp_path):
+        path = self.make(tmp_path)
+        blob = path.read_bytes()
+        digest_at = len(blob) - len("abc123")
+        rng_at = digest_at - 8 - 13 * 8
+        bad = tmp_path / "bad.ckpt"
+        # has_uint32 (word 11) must fit a C int
+        bad.write_bytes(blob[: rng_at + 11 * 8] + b"\xff" * 8 + blob[rng_at + 12 * 8 :])
+        with pytest.raises(DataError, match="invalid RNG state") as err:
+            load_checkpoint(bad)
+        assert str(bad) in str(err.value)
+        bad.write_bytes(blob[:digest_at] + b"\xff" + blob[digest_at + 1 :])
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            load_checkpoint(bad)
+        assert str(bad) in str(err.value)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self.make(tmp_path)
         bad = tmp_path / "fat.ckpt"

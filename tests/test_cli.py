@@ -203,11 +203,12 @@ class TestConfigErrorsInAFreshProcess:
         "argv,message",
         [
             (["train", "--seed=-1"], "seed must be non-negative"),
+            (["train", "--learning-rate=nan"], "learning_rate must be positive"),
             (["synth", "--out-dir", "{d}/neg", "--seed", "-1"], "seed must be non-negative"),
             (["train", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
             (["svd-report", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
         ],
-        ids=["train-seed", "synth-seed", "train-rank", "svd-report-rank"],
+        ids=["train-seed", "train-nan-rate", "synth-seed", "train-rank", "svd-report-rank"],
     )
     def test_exits_one_with_an_error_line(self, data, tmp_path, argv, message):
         argv = [a.format(d=tmp_path) for a in argv]

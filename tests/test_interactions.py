@@ -6,11 +6,13 @@ import pytest
 from svdgcl.errors import DataError, ParseError, ProtocolError
 from svdgcl.interactions import (
     InteractionDataset,
+    _holdout_validation,
     build_adjacency,
     load_interactions,
     normalize_adjacency,
     write_pair_files,
 )
+from tests.util import holdout_validation_user_scan
 
 
 def write(path, text):
@@ -187,6 +189,35 @@ class TestHoldout:
             ds = load_interactions(train, test, val_fraction=0.5, seed=seed)
             trained = set(ds.train[:, 1].tolist())
             assert set(ds.test[:, 1].tolist()) <= trained
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.34, 0.5, 0.9])
+    def test_matches_the_per_user_scan(self, seed, fraction):
+        # shuffled rows, users holding 1 to 12 pairs, and test items that
+        # live on only a pair or two of train, so the warm-start repair runs
+        rng = np.random.default_rng(100 + seed)
+        counts = rng.integers(1, 13, size=40)
+        users = np.repeat(np.arange(40), counts)
+        items = np.concatenate([rng.choice(100, size=c, replace=False) for c in counts])
+        train = np.column_stack([users, items])[rng.permutation(users.size)]
+        rare = np.flatnonzero(np.bincount(train[:, 1], minlength=100) <= 2)
+        test = np.column_stack([np.zeros(rare.size, dtype=np.int64), rare])
+        got = _holdout_validation(train, test, fraction, seed)
+        want = holdout_validation_user_scan(train, test, fraction, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        if fraction == 0.5:
+            # the repair kept some pair the per-user draw had moved
+            floor = np.floor(fraction * counts).astype(int)
+            drawn = np.where((floor >= 1) & (counts - floor >= 1), floor, 0)
+            assert np.bincount(got[1][:, 0], minlength=40).sum() < drawn.sum()
+
+    def test_empty_train_moves_nothing(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        kept, moved = _holdout_validation(empty, empty, 0.5, 1)
+        assert kept.shape == moved.shape == (0, 2)
 
 
 class TestRoundTrip:

@@ -63,8 +63,13 @@ class TestHyperParams:
             dict(dropout_p=1.0),
             dict(dropout_p=-0.1),
             dict(temperature=0.0),
+            dict(temperature=float("nan")),
             dict(lambda1=-1.0),
+            dict(lambda1=float("nan")),
+            dict(lambda2=float("nan")),
             dict(learning_rate=0.0),
+            dict(learning_rate=float("nan")),
+            dict(dropout_p=float("nan")),
             dict(batch_size=0),
             dict(epochs=-1),
             dict(seed=-1),

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from svdgcl.errors import DataError
-from svdgcl.interactions import InteractionDataset
+from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
 from svdgcl.linalg import svd_propagate
 from svdgcl.losses import MAX_NEG_TRIES, TrainBatch
 from svdgcl.model import leaky_relu, spmm, spmm_t
@@ -256,3 +256,63 @@ def forward_keeping_lists(state, a_norm, svd, hp, mode, rng, with_global_view):
     out["final_user"] = np.add.reduce(h_user)
     out["final_item"] = np.add.reduce(h_item)
     return out
+
+
+def holdout_validation_user_scan(train, test, fraction, seed):
+    """Frozen copy of interactions._holdout_validation that found each
+    user's train positions by scanning all of train[:, 0] once per user."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, HOLDOUT_STREAM])))
+    moved = np.zeros(train.shape[0], dtype=bool)
+    for uid in np.unique(train[:, 0]):
+        pos = np.flatnonzero(train[:, 0] == uid)
+        k = int(np.floor(fraction * pos.size))
+        if k < 1 or pos.size - k < 1:
+            continue
+        picked = rng.choice(pos.size, size=k, replace=False)
+        moved[pos[np.sort(picked)]] = True
+    test_items = set(test[:, 1].tolist()) if test.size else set()
+    remaining = np.bincount(train[~moved, 1], minlength=int(train[:, 1].max()) + 1 if train.size else 0)
+    for pos in np.flatnonzero(moved):
+        item = int(train[pos, 1])
+        if item in test_items and remaining[item] == 0:
+            moved[pos] = False
+            remaining[item] += 1
+    return train[~moved], train[moved]
+
+
+def protocol_error_unindexed(num_users, num_items, train, validation, test):
+    """Frozen copy of InteractionDataset's split validation before the train
+    index: a lexsort per split for duplicates and np.isin for overlaps.
+
+    Takes (n, 2) int64 arrays and returns the ProtocolError message it
+    would raise, or None when the splits pass.
+    """
+
+    def duplicate_rows(arr):
+        if arr.shape[0] < 2:
+            return False
+        s = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+        return bool(np.any(np.all(np.diff(s, axis=0) == 0, axis=1)))
+
+    for name, arr in (("train", train), ("validation", validation), ("test", test)):
+        if arr.size:
+            if arr[:, 0].min() < 0 or arr[:, 0].max() >= num_users:
+                return f"{name} split has a user index out of range"
+            if arr[:, 1].min() < 0 or arr[:, 1].max() >= num_items:
+                return f"{name} split has an item index out of range"
+        if duplicate_rows(arr):
+            return f"{name} split contains duplicate pairs"
+    train_keys = train[:, 0] * num_items + train[:, 1]
+    for name, arr in (("validation", validation), ("test", test)):
+        keys = arr[:, 0] * num_items + arr[:, 1]
+        overlap = np.sort(keys[np.isin(keys, train_keys, assume_unique=True)])[:5]
+        if overlap.size:
+            pairs = [(int(k // num_items), int(k % num_items)) for k in overlap]
+            return f"train and {name} overlap on pairs {pairs}"
+    if test.size:
+        for what, col, size in (("users", 0, num_users), ("items", 1, num_items)):
+            in_train = np.bincount(train[:, col], minlength=size) > 0
+            bad = np.unique(test[~in_train[test[:, col]], col])
+            if bad.size:
+                return f"test {what} absent from train: {bad.tolist()}"
+    return None
