@@ -190,7 +190,6 @@ class TestHoldout:
             trained = set(ds.train[:, 1].tolist())
             assert set(ds.test[:, 1].tolist()) <= trained
 
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.34, 0.5, 0.9])
     def test_matches_the_per_user_scan(self, seed, fraction):
@@ -212,7 +211,7 @@ class TestHoldout:
             # the repair kept some pair the per-user draw had moved
             floor = np.floor(fraction * counts).astype(int)
             drawn = np.where((floor >= 1) & (counts - floor >= 1), floor, 0)
-            assert np.bincount(got[1][:, 0], minlength=40).sum() < drawn.sum()
+            assert got[1].shape[0] < drawn.sum()
 
     def test_empty_train_moves_nothing(self):
         empty = np.empty((0, 2), dtype=np.int64)

@@ -42,7 +42,8 @@ class TestIndex:
         m, n, train, val = g
         ds = dataset(m, n, train, val)
         users, items = np.divmod(np.arange(m * n, dtype=np.int64), n)
-        expect = [(int(u), int(i)) in set(train) for u, i in zip(users, items)]
+        held = set(train)
+        expect = [(int(u), int(i)) in held for u, i in zip(users, items)]
         assert ds.in_train(users, items).tolist() == expect
         # repeated and unordered probes
         probe = np.array(list(reversed(range(m * n))) * 2, dtype=np.int64)
