@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, DataError, NumericalError
-from .harness import _FIELD_TYPES, RunConfig, run_eval, run_svd_report, run_training
+from .harness import CONFIG_KEYS, RunConfig, run_eval, run_svd_report, run_training
 from .synth import generate_blocks
 
 
@@ -21,7 +21,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", help="JSON file of config fields")
-    for key in _FIELD_TYPES:
+    for key in CONFIG_KEYS:
         p.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
@@ -32,7 +32,7 @@ def _add_run_options(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = [f"{key}={getattr(args, key)}" for key in _FIELD_TYPES if hasattr(args, key)]
+    overrides = [f"{key}={getattr(args, key)}" for key in CONFIG_KEYS if hasattr(args, key)]
     return RunConfig.from_sources(args.config, overrides)
 
 

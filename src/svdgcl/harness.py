@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -27,62 +27,34 @@ from .interactions import build_adjacency, load_interactions, normalize_adjacenc
 from .linalg import approx_svd
 from .losses import loss_and_grads, sample_batch
 from .metrics import EvalResult, evaluate
-from .model import HyperParams, forward, init_model
+from .model import HyperParams, forward, init_model, knob
 from .optim import adam_step, init_optimizer
 
 logger = logging.getLogger("svdgcl.run")
 
 LOG_ENV_VAR = "SVDGCL_LOG"
 
-_OPTIONAL_PATHS = ("val_path", "log_path")
 _PATH_FIELDS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
 
 
 @dataclass
 class RunConfig(HyperParams):
     """Flat run configuration; JSON files and --key=value overrides map
-    one-to-one onto these fields. The training knobs are HyperParams',
-    so a RunConfig is itself the hp a run trains with."""
+    one-to-one onto these fields, and HyperParams types and checks every
+    one of them. The training knobs are HyperParams', so a RunConfig is
+    itself the hp a run trains with."""
 
     train_path: str | None = None
     test_path: str | None = None
-    val_path: str | None = None
-    eval_every: int = 5
-    eval_ks: list = field(default_factory=lambda: [20])
+    val_path: str | None = knob(None, optional=True)
+    eval_every: int = knob(5, "at least 1")
+    eval_ks: list = knob((20,), "a non-empty list of positive ints")
     checkpoint_dir: str = "checkpoints"
-    log_path: str | None = None
-    svd_oversample: int = 8
-    svd_power_iters: int = 4
-    val_fraction: float = 0.1
-    patience: int = 20
-
-    def __post_init__(self):
-        for name in _PATH_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            try:
-                value = os.fspath(value)
-            except TypeError:
-                value = None
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a path, got {getattr(self, name)!r}")
-            setattr(self, name, value)
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be at least 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if self.svd_oversample < 0 or self.svd_power_iters < 0:
-            raise ConfigError("svd_oversample and svd_power_iters must be non-negative")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in [0, 1)")
-        try:
-            self.eval_ks = [int(k) for k in self.eval_ks]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"eval_ks must be a list of integers: {exc}") from exc
-        if not self.eval_ks or min(self.eval_ks) < 1:
-            raise ConfigError("eval_ks must contain positive cutoffs")
-        super().__post_init__()
+    log_path: str | None = knob(None, optional=True)
+    svd_oversample: int = knob(8, "non-negative")
+    svd_power_iters: int = knob(4, "non-negative")
+    val_fraction: float = knob(0.1, "in [0, 1)")
+    patience: int = knob(20, "at least 1")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -95,7 +67,8 @@ class RunConfig(HyperParams):
 
     @classmethod
     def from_sources(cls, json_path=None, overrides=()) -> "RunConfig":
-        """Defaults, then a JSON file, then key=value overrides, last wins."""
+        """Defaults, then a JSON file, then key=value overrides, last wins.
+        JSON values and override strings alike go to the constructor."""
         values: dict = {}
         if json_path is not None:
             try:
@@ -106,41 +79,21 @@ class RunConfig(HyperParams):
                 raise ConfigError(f"config {json_path} is not valid JSON: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {json_path} must hold a JSON object")
-            for key, value in raw.items():
-                values[key] = value
+            values.update(raw)
         for item in overrides:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} is not of the form key=value")
             key, text = item.split("=", 1)
-            key = key.replace("-", "_")
-            values[key] = _parse_override(key, text)
-        unknown = sorted(set(values) - set(_FIELD_TYPES))
+            values[key.replace("-", "_")] = text
+        unknown = sorted(set(values) - set(CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**values)
 
 
-# how each overridable field parses from a command-line string, read off the
-# field annotations (strings, under postponed evaluation); "ks" is eval_ks
-_PARSERS = {"int": int, "float": float, "str": str, "str | None": str, "list": "ks"}
-_FIELD_TYPES = {f.name: _PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
-
-
-def _parse_override(key: str, text: str):
-    kind = _FIELD_TYPES.get(key)
-    if kind is None:
-        raise ConfigError(f"unknown config key: {key}")
-    if key in _OPTIONAL_PATHS and text.lower() in ("none", "null", ""):
-        return None
-    if kind == "ks":
-        try:
-            return [int(part) for part in text.split(",") if part]
-        except ValueError as exc:
-            raise ConfigError(f"{key} expects comma-separated integers: {text!r}") from exc
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r}") from exc
+# every config field, in declaration order: the keys of a JSON config and
+# the names of the command-line flags
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 @contextmanager

@@ -9,7 +9,9 @@ them, so rankings depend on the main branch only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+import os
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -23,49 +25,88 @@ TRAIN_STREAM = 2
 LEAKY_SLOPE = 0.2
 
 
+# how a knob's rule reads in its error message, and its test; every test is
+# written so that NaN, which fails every comparison, fails it
+_RULES = {
+    "at least 1": lambda v: v >= 1,
+    "non-negative": lambda v: v >= 0,
+    "positive": lambda v: v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "a non-empty list of positive ints": lambda ks: len(ks) > 0 and min(ks) >= 1,
+    "'in-batch' or 'full-population'": lambda v: v in ("in-batch", "full-population"),
+}
+
+
+def knob(default, rule=None, optional=False):
+    """A config field: its default and the _RULES entry its value must meet.
+    An optional field may be left out of a run, and the strings none, null
+    and the empty string stand for None there."""
+    return field(default=default, metadata={"rule": rule, "optional": optional})
+
+
+# what a number annotation parses a string with, and what else it takes
+_NUMBERS = {"int": (int, numbers.Integral, "an integer"), "float": (float, numbers.Real, "a real number")}
+
+
+def _typed(f, value, kind=None):
+    """The value of field f typed by its annotation (a string, under
+    postponed evaluation): a string parses as on the command line, an int
+    takes only integers, a float any real number, a str field a str or
+    path-like, and a list a list or a comma string of ints. No bools."""
+    kind = kind or f.type
+    if kind == "list":
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
+        return [_typed(f, k, "int") for k in value]
+    if kind in _NUMBERS:
+        parse, accepted, noun = _NUMBERS[kind]
+        if isinstance(value, bool) or not isinstance(value, (str, accepted)):
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        try:
+            return parse(value)
+        except (ValueError, OverflowError):
+            # junk text, or an integer too large for a float
+            raise ConfigError(f"bad value for {f.name}: {value!r}") from None
+    if value is None and kind == "str | None":
+        return None
+    if f.metadata.get("optional") and isinstance(value, str) and value.lower() in ("none", "null", ""):
+        return None
+    if not (isinstance(value, (str, os.PathLike)) and isinstance(os.fspath(value), str)):
+        raise ConfigError(f"{f.name} must be a string or path, got {value!r}")
+    return os.fspath(value)
+
+
 @dataclass
 class HyperParams:
     """Training-time knobs. Defaults are the package defaults ablated on the
     synthetic block task; shape parameters follow the library's reference
-    configuration (64-dim embeddings, 2 layers, rank-5 reconstruction)."""
+    configuration (64-dim embeddings, 2 layers, rank-5 reconstruction).
 
-    embed_dim: int = 64
-    layers: int = 2
-    svd_rank: int = 5
-    dropout_p: float = 0.1
-    temperature: float = 1.0
-    lambda1: float = 0.05
-    lambda2: float = 1e-5
-    learning_rate: float = 3e-3
-    batch_size: int = 1024
-    epochs: int = 200
-    seed: int = 42
-    cl_scope: str = "in-batch"
+    Each field is typed from its annotation and then checked against its
+    knob rule, by one loop that runs for RunConfig too."""
+
+    embed_dim: int = knob(64, "at least 1")
+    layers: int = knob(2, "at least 1")
+    svd_rank: int = knob(5, "at least 1")
+    dropout_p: float = knob(0.1, "in [0, 1)")
+    temperature: float = knob(1.0, "positive")
+    lambda1: float = knob(0.05, "non-negative")
+    lambda2: float = knob(1e-5, "non-negative")
+    learning_rate: float = knob(3e-3, "positive")
+    batch_size: int = knob(1024, "at least 1")
+    epochs: int = knob(200, "non-negative")
+    seed: int = knob(42, "non-negative")
+    cl_scope: str = knob("in-batch", "'in-batch' or 'full-population'")
 
     def __post_init__(self):
-        # float checks are written so that NaN, which fails every comparison, fails them
-        if self.embed_dim < 1:
-            raise ConfigError("embed_dim must be at least 1")
-        if self.layers < 1:
-            raise ConfigError("layers must be at least 1")
-        if self.svd_rank < 1:
-            raise ConfigError("svd_rank must be at least 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must lie in [0, 1)")
-        if not self.temperature > 0:
-            raise ConfigError("temperature must be positive")
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ConfigError("loss weights must be non-negative")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.cl_scope not in ("in-batch", "full-population"):
-            raise ConfigError(f"cl_scope must be 'in-batch' or 'full-population', got {self.cl_scope!r}")
+        for f in fields(self):
+            value = _typed(f, getattr(self, f.name))
+            rule = f.metadata.get("rule")
+            if rule is not None and not _RULES[rule](value):
+                raise ConfigError(f"{f.name} must be {rule}, got {value!r}")
+            setattr(self, f.name, value)
 
 
 @dataclass

@@ -207,19 +207,33 @@ class TestConfigErrorsInAFreshProcess:
             (["synth", "--out-dir", "{d}/neg", "--seed", "-1"], "seed must be non-negative"),
             (["train", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
             (["svd-report", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
+            # a --config file's values are typed and checked as flags are
+            (["train", "--config", '{"embed_dim": 2.5}'], "embed_dim must be an integer"),
+            (["train", "--config", '{"batch_size": NaN}'], "batch_size must be an integer"),
+            (["train", "--config", '{"layers": "two"}'], "bad value for layers"),
+            (["train", "--config", '{"epochs": true}'], "epochs must be an integer"),
         ],
-        ids=["train-seed", "train-nan-rate", "synth-seed", "train-rank", "svd-report-rank"],
+        ids=[
+            "train-seed", "train-nan-rate", "synth-seed", "train-rank", "svd-report-rank",
+            "json-float-dim", "json-nan-batch", "json-junk-layers", "json-bool-epochs",
+        ],
     )
     def test_exits_one_with_an_error_line(self, data, tmp_path, argv, message):
+        if "--config" in argv:
+            # the argument after --config is the file's JSON text
+            at = argv.index("--config") + 1
+            (tmp_path / "c.json").write_text(argv[at])
+            argv = argv[:at] + [str(tmp_path / "c.json")] + argv[at + 1 :]
         argv = [a.format(d=tmp_path) for a in argv]
         if argv[0] != "synth":
             argv += [
                 "--train-path", str(data / "train.txt"),
                 "--test-path", str(data / "test.txt"),
                 "--val-path", str(data / "val.txt"),
-                "--epochs", "1",
                 "--checkpoint-dir", str(tmp_path / "ck"),
             ]
+            # the flag would win over a config file's epochs
+            argv += [] if "--config" in argv else ["--epochs", "1"]
         done = subprocess.run(
             [sys.executable, "-m", "svdgcl"] + argv, cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
         )

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svdgcl import harness, linalg, losses
 from svdgcl.checkpoint import load_checkpoint, save_checkpoint
@@ -73,6 +75,12 @@ class TestRunConfig:
             dict(embed_dim=0),
             dict(temperature=0.0),
             dict(svd_oversample=-1),
+            dict(embed_dim=2.5),
+            dict(epochs=True),
+            dict(batch_size=float("nan")),
+            dict(svd_oversample=float("nan")),
+            dict(val_fraction=float("nan")),
+            dict(eval_ks=[True]),
         ],
     )
     def test_bad_fields_rejected(self, bad):
@@ -99,6 +107,17 @@ class TestRunConfig:
         assert cfg.embed_dim == 48  # override beats the file
         assert cfg.lambda1 == 0.4
         assert cfg.eval_ks == [5, 20]
+
+    def test_one_digest_per_config(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"lambda1": 1}')
+        routes = [RunConfig.from_sources(cfg_file), RunConfig.from_sources(None, ["lambda1=1"]), RunConfig(lambda1=1)]
+        assert routes[0] == routes[1] == routes[2]
+        assert len({cfg.digest() for cfg in routes}) == 1
+
+    def test_default_digest_pinned(self):
+        # default-config checkpoints carry this digest in their bytes
+        assert RunConfig().digest() == "553e631d82357621e46e250260b773fbbb55013114b815575e70af703720440f"
 
     def test_from_sources_rejects_unknowns_and_junk(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -132,6 +151,98 @@ class TestRunConfig:
             RunConfig(**{field: 3})
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: b"bytes/path"})
+
+
+# valid values of each field, written out here rather than read off the
+# knob rules, so that a rule changed in the source shows up as a failure
+_INT_MIN = {"embed_dim": 1, "layers": 1, "svd_rank": 1, "batch_size": 1, "eval_every": 1, "patience": 1,
+            "epochs": 0, "seed": 0, "svd_oversample": 0, "svd_power_iters": 0}
+_FLOAT_RANGE = {"dropout_p": (0.0, 1.0), "val_fraction": (0.0, 1.0), "temperature": (0.0, None),
+                "learning_rate": (0.0, None), "lambda1": (0.0, None), "lambda2": (0.0, None)}
+_POSITIVE = ("temperature", "learning_rate")  # 0.0 is out of their range
+_PATHS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
+_JUNK = st.sampled_from(["soon", "1x", "--", "3.0.0"])
+
+
+def _valid_values(name):
+    if name in _INT_MIN:
+        return st.integers(_INT_MIN[name], 10**6)
+    if name in _FLOAT_RANGE:
+        low, high = _FLOAT_RANGE[name]
+        reals = st.floats(low, 1e6 if high is None else high, exclude_min=name in _POSITIVE, exclude_max=high is not None)
+        # an int is a real number too, and is stored as a float
+        return reals | (st.integers(1, 100) if high is None else st.just(0))
+    if name == "cl_scope":
+        return st.sampled_from(["in-batch", "full-population"])
+    if name == "eval_ks":
+        return st.lists(st.integers(1, 100), min_size=1, max_size=4)
+    return st.text("abc/._-", max_size=8) | st.sampled_from(["none", "NULL"])
+
+
+def _bad_values(name):
+    """A bool for a number, a non-integral float for an int, NaN, junk text,
+    or a number out of range. Paths have no bad text, so none are drawn."""
+    if name in _INT_MIN:
+        return st.booleans() | st.sampled_from([2.5, -0.5, float("nan")]) | _JUNK | st.integers(-100, _INT_MIN[name] - 1)
+    if name in _FLOAT_RANGE:
+        low, high = _FLOAT_RANGE[name]
+        below = st.floats(max_value=low, exclude_max=name not in _POSITIVE, allow_nan=False)
+        above = st.floats(min_value=high, allow_nan=False) if high is not None else st.nothing()
+        return st.booleans() | st.just(float("nan")) | _JUNK | below | above
+    if name == "cl_scope":
+        return _JUNK | st.booleans()
+    return st.sampled_from([[], [0], [True], [2.5], [float("nan")], "soon", "0,5"])
+
+
+def _as_text(value):
+    # str of a float is its shortest round-tripping text
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _three_routes(json_dir, name, value):
+    """RunConfig from a Python kwarg, from a JSON file and from --key=value
+    text; each route is an exception instead when it raises one."""
+
+    def attempt(build):
+        try:
+            return build()
+        except Exception as exc:  # kept, so that a stray exception type shows in the property
+            return exc
+
+    path = json_dir / "run.json"
+    path.write_text(json.dumps({name: value}))
+    return [
+        attempt(lambda: RunConfig(**{name: value})),
+        attempt(lambda: RunConfig.from_sources(path)),
+        attempt(lambda: RunConfig.from_sources(None, [f"{name.replace('_', '-')}={_as_text(value)}"])),
+    ]
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("routes")
+
+
+class TestOneTypingRule:
+    """A Python kwarg, a JSON file and command-line text are typed and
+    checked by the same rule, field by field."""
+
+    @given(st.data())
+    def test_valid_values_agree_across_routes(self, json_dir, data):
+        name = data.draw(st.sampled_from(harness.CONFIG_KEYS))
+        value = data.draw(_valid_values(name))
+        routes = _three_routes(json_dir, name, value)
+        assert all(isinstance(cfg, RunConfig) for cfg in routes), routes
+        # repr tells 1 from 1.0, which the digest does too
+        assert repr(routes[0]) == repr(routes[1]) == repr(routes[2])
+
+    @given(st.data())
+    def test_bad_values_are_config_errors_on_every_route(self, json_dir, data):
+        name = data.draw(st.sampled_from([k for k in harness.CONFIG_KEYS if k not in _PATHS]))
+        value = data.draw(_bad_values(name))
+        for outcome in _three_routes(json_dir, name, value):
+            assert type(outcome) is ConfigError, (name, value, outcome)
+            assert name in str(outcome)
 
 
 class TestLogging:

@@ -74,6 +74,9 @@ class TestHyperParams:
             dict(epochs=-1),
             dict(seed=-1),
             dict(cl_scope="sometimes"),
+            dict(embed_dim=2.5),
+            dict(epochs=True),
+            dict(batch_size=float("nan")),
         ],
     )
     def test_bad_values_rejected(self, bad):
