@@ -3,7 +3,8 @@
 A short training run saves its best snapshot; reloading it reproduces
 the evaluation exactly, byte for byte, because the snapshot carries both
 embedding tables, the full optimizer state, and the training RNG's
-position. The second half unpacks recall and NDCG on one user by hand.
+position. The second half scores the snapshot with evaluate and then
+unpacks recall and NDCG on one user by hand.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from svdgcl.checkpoint import load_checkpoint
 from svdgcl.harness import RunConfig, run_eval, run_training
 from svdgcl.interactions import build_adjacency, load_interactions, normalize_adjacency
-from svdgcl.metrics import ndcg_at_k, rank_items, recall_at_k
+from svdgcl.metrics import evaluate
 from svdgcl.model import forward, predict_scores
 from svdgcl.synth import generate_blocks
 
@@ -50,22 +51,29 @@ try:
     print(f"config digest: {ck.config_digest[:16]}...")
 
     print()
-    print("== one user, by hand ==")
+    print("== the metrics, from evaluate ==")
     ds = load_interactions(paths["train"], paths["test"], paths["val"])
     a = normalize_adjacency(build_adjacency(ds))
+    res = evaluate(ck.state, a, None, ds, [5])
+    print(f"recall@5 = {res.recall[5]:.4f}, ndcg@5 = {res.ndcg[5]:.4f} over {res.users_evaluated} test users")
+    print(f"same as the reload's numbers: {res == replay}")
+
+    print()
+    print("== one user, by hand ==")
     trace = forward(ck.state, a)
     u = 0
     scores = predict_scores(trace, [u])[0]
-    trained = set(ds.items_by_user("train")[u].tolist())
+    # train items never rank; a stable sort breaks ties toward the lower index
+    scores[ds.items_by_user("train")[u]] = -np.inf
+    top = np.argsort(-scores, kind="stable")[:5]
     relevant = set(ds.items_by_user("test")[u].tolist())
-    top = rank_items(scores, trained, 5)
     print(f"user {u} holds out {sorted(relevant)}; top-5 after masking: {top.tolist()}")
-    rec = recall_at_k(top, relevant)
-    gain = ndcg_at_k(top, relevant, 5)
-    print(f"recall@5 = {rec:.2f}")
-    print(f"ndcg@5   = {gain:.3f} (a hit at position p earns 1/log2(p+2))")
-    if rec > 0:
-        pos = [i for i, it in enumerate(top.tolist()) if it in relevant][0]
-        print(f"here the hit sits at position {pos}, worth {1.0 / math.log2(pos + 2):.3f}")
+    hits = [p for p, item in enumerate(top.tolist()) if item in relevant]
+    ideal = sum(1.0 / math.log2(p + 2) for p in range(min(5, len(relevant))))
+    print(f"recall@5 = {len(hits) / len(relevant):.2f}")
+    print(f"ndcg@5   = {sum(1.0 / math.log2(p + 2) for p in hits) / ideal:.3f} (a hit at position p earns 1/log2(p+2))")
+    if hits:
+        print(f"here the first hit sits at position {hits[0]}, worth {1.0 / math.log2(hits[0] + 2):.3f}")
+    print("evaluate averages these per-user numbers over every user with test items")
 finally:
     shutil.rmtree(work, ignore_errors=True)

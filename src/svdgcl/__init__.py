@@ -38,10 +38,6 @@ from .metrics import (
     EvalResult,
     evaluate,
     evaluate_popularity,
-    ndcg_at_k,
-    popularity_baseline,
-    rank_items,
-    recall_at_k,
 )
 from .model import (
     ForwardTrace,
@@ -96,13 +92,9 @@ __all__ = [
     "load_checkpoint",
     "load_interactions",
     "loss_and_grads",
-    "ndcg_at_k",
     "normalize_adjacency",
-    "popularity_baseline",
     "predict_scores",
     "qr_orthonormalize",
-    "rank_items",
-    "recall_at_k",
     "run_eval",
     "run_svd_report",
     "run_training",

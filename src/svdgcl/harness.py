@@ -293,15 +293,16 @@ def run_training(config: RunConfig) -> TrainResult:
 def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
     """Score a saved checkpoint against the configured dataset's test split.
 
-    The logged epoch field carries the checkpoint's optimizer step count.
+    The checkpoint's model shape must match the dataset and the config. The
+    logged epoch field carries the checkpoint's optimizer step count.
     """
     ds, a_norm = _load_graph(config)
     loaded: Checkpoint = load_checkpoint(checkpoint_path)
-    if loaded.state.num_users != ds.num_users or loaded.state.num_items != ds.num_items:
-        raise DataError(
-            f"checkpoint tables are {loaded.state.num_users}x{loaded.state.num_items} "
-            f"but the dataset is {ds.num_users}x{ds.num_items}"
-        )
+    st = loaded.state
+    got = (st.num_users, st.num_items, st.embed_dim, st.layers)
+    want = (ds.num_users, ds.num_items, config.embed_dim, config.layers)
+    if got != want:
+        raise DataError(f"checkpoint (users, items, embed_dim, layers) is {got} but the dataset and config give {want}")
     ks = sorted(set(config.eval_ks))
     res = evaluate(loaded.state, a_norm, None, ds, ks, split="test")
     _log_eval(loaded.step, res, ks)

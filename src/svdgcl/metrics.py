@@ -28,55 +28,13 @@ class EvalResult:
     users_evaluated: int
 
 
-def rank_items(scores: np.ndarray, masked, k: int) -> np.ndarray:
-    """Indices of the k best-scoring items outside the masked set.
-
-    Ties rank the lower item index first. Asking for more items than remain
-    after masking is an argument error.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("scores must be 1-D")
-    masked = np.asarray(list(masked) if isinstance(masked, set) else masked, dtype=np.int64)
-    available = scores.shape[0] - masked.shape[0]
-    if k < 1 or k > available:
-        raise ValueError(f"k={k} out of range: {available} items remain after masking")
-    order = np.argsort(-scores, kind="stable")
-    if masked.size:
-        hide = np.zeros(scores.shape[0], dtype=bool)
-        hide[masked] = True
-        order = order[~hide[order]]
-    return order[:k]
-
-
-def recall_at_k(ranked: np.ndarray, relevant) -> float:
-    """Fraction of the relevant set that made the ranked list."""
-    relevant = set(int(i) for i in relevant)
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    hits = sum(1 for i in ranked if int(i) in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at_k(ranked: np.ndarray, relevant, k: int) -> float:
-    """Binary-gain NDCG: hit at position i earns 1/log2(i+2), normalized by
-    the best arrangement of min(k, |relevant|) hits."""
-    relevant = set(int(i) for i in relevant)
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    gains = 1.0 / np.log2(np.arange(k) + 2.0)
-    dcg = sum(gains[i] for i, item in enumerate(ranked[:k]) if int(item) in relevant)
-    ideal = gains[: min(k, len(relevant))].sum()
-    return float(dcg / ideal)
-
-
 def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     """Recall and NDCG at every cutoff, users scored in blocks of SCORE_BLOCK_BYTES.
 
     score_block(lo, hi) yields a fresh (hi - lo, num_items) float64 array of
     the scores of users lo..hi-1. A held-out item's 0-based rank is the
     count of unmasked items that score higher, plus those that tie it at a
-    lower index: its place in rank_items' stable order. Per-pair
+    lower index, so ties break toward the lower index. Per-pair
     comparisons run in chunks of the same byte budget, so memory is bounded
     however many held-out items a user has. Each user's DCG adds its gains
     in rank order, and the per-user values add in user order, so the sums
@@ -147,12 +105,6 @@ def evaluate(state: ModelState, a_norm: csr_array, svd, ds, ks, split: str = "te
     trace = forward(state, a_norm, svd, None, mode="eval")
     fu, fv = trace.final_user, trace.final_item
     return _ranked_metrics(ds, ks, lambda lo, hi: fu[lo:hi] @ fv.T, split=split)
-
-
-def popularity_baseline(ds) -> np.ndarray:
-    """Items ordered by train interaction count, ties toward low index."""
-    counts = np.bincount(ds.train[:, 1], minlength=ds.num_items)
-    return np.argsort(-counts, kind="stable")
 
 
 def evaluate_popularity(ds, ks) -> EvalResult:

@@ -9,6 +9,7 @@ them, so rankings depend on the main branch only.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
@@ -25,8 +26,8 @@ TRAIN_STREAM = 2
 LEAKY_SLOPE = 0.2
 
 
-# how a knob's rule reads in its error message, and its test; every test is
-# written so that NaN, which fails every comparison, fails it
+# how a knob's rule reads in its error message, and its test; typing has
+# already refused NaN and infinity
 _RULES = {
     "at least 1": lambda v: v >= 1,
     "non-negative": lambda v: v >= 0,
@@ -45,14 +46,14 @@ def knob(default, rule=None, optional=False):
 
 
 # what a number annotation parses a string with, and what else it takes
-_NUMBERS = {"int": (int, numbers.Integral, "an integer"), "float": (float, numbers.Real, "a real number")}
+_NUMBERS = {"int": (int, numbers.Integral, "an integer"), "float": (float, numbers.Real, "a finite real number")}
 
 
 def _typed(f, value, kind=None):
     """The value of field f typed by its annotation (a string, under
     postponed evaluation): a string parses as on the command line, an int
-    takes only integers, a float any real number, a str field a str or
-    path-like, and a list a list or a comma string of ints. No bools."""
+    takes only integers, a float any finite real number, a str field a str
+    or path-like, and a list a list or a comma string of ints. No bools."""
     kind = kind or f.type
     if kind == "list":
         if isinstance(value, str):
@@ -65,10 +66,13 @@ def _typed(f, value, kind=None):
         if isinstance(value, bool) or not isinstance(value, (str, accepted)):
             raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
         try:
-            return parse(value)
+            typed = parse(value)
         except (ValueError, OverflowError):
             # junk text, or an integer too large for a float
             raise ConfigError(f"bad value for {f.name}: {value!r}") from None
+        if kind == "float" and not math.isfinite(typed):
+            raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        return typed
     if value is None and kind == "str | None":
         return None
     if f.metadata.get("optional") and isinstance(value, str) and value.lower() in ("none", "null", ""):

@@ -203,7 +203,9 @@ class TestConfigErrorsInAFreshProcess:
         "argv,message",
         [
             (["train", "--seed=-1"], "seed must be non-negative"),
-            (["train", "--learning-rate=nan"], "learning_rate must be positive"),
+            (["train", "--learning-rate=nan"], "learning_rate must be a finite real number"),
+            (["train", "--temperature=inf"], "temperature must be a finite real number"),
+            (["train", "--lambda1=1e400"], "lambda1 must be a finite real number"),
             (["synth", "--out-dir", "{d}/neg", "--seed", "-1"], "seed must be non-negative"),
             (["train", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
             (["svd-report", "--svd-rank=30"], "svd_rank=30 with svd_oversample=8 does not fit the 40x24 graph"),
@@ -214,7 +216,8 @@ class TestConfigErrorsInAFreshProcess:
             (["train", "--config", '{"epochs": true}'], "epochs must be an integer"),
         ],
         ids=[
-            "train-seed", "train-nan-rate", "synth-seed", "train-rank", "svd-report-rank",
+            "train-seed", "train-nan-rate", "train-inf-temperature", "train-huge-lambda1", "synth-seed", "train-rank",
+            "svd-report-rank",
             "json-float-dim", "json-nan-batch", "json-junk-layers", "json-bool-epochs",
         ],
     )

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,12 @@ class TestRunConfig:
             dict(svd_oversample=float("nan")),
             dict(val_fraction=float("nan")),
             dict(eval_ks=[True]),
+            dict(temperature=float("inf")),
+            dict(lambda1=float("inf")),
+            dict(lambda2=float("inf")),
+            dict(learning_rate=float("inf")),
+            dict(temperature="inf"),
+            dict(lambda1="1e400"),
         ],
     )
     def test_bad_fields_rejected(self, bad):
@@ -180,7 +187,8 @@ def _valid_values(name):
 
 
 def _bad_values(name):
-    """A bool for a number, a non-integral float for an int, NaN, junk text,
+    """A bool for a number, a non-integral float for an int, NaN, an infinity
+    (as a float or as the text of a number too large for one), junk text,
     or a number out of range. Paths have no bad text, so none are drawn."""
     if name in _INT_MIN:
         return st.booleans() | st.sampled_from([2.5, -0.5, float("nan")]) | _JUNK | st.integers(-100, _INT_MIN[name] - 1)
@@ -188,7 +196,7 @@ def _bad_values(name):
         low, high = _FLOAT_RANGE[name]
         below = st.floats(max_value=low, exclude_max=name not in _POSITIVE, allow_nan=False)
         above = st.floats(min_value=high, allow_nan=False) if high is not None else st.nothing()
-        return st.booleans() | st.just(float("nan")) | _JUNK | below | above
+        return st.booleans() | st.sampled_from([float("nan"), float("inf"), "1e400"]) | _JUNK | below | above
     if name == "cl_scope":
         return _JUNK | st.booleans()
     return st.sampled_from([[], [0], [True], [2.5], [float("nan")], "soon", "0,5"])
@@ -514,18 +522,20 @@ class TestTraining:
 
 
 class TestEval:
-    def test_dimension_mismatch_is_a_data_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "over,want",
+        [({}, "(20, 20, 8, 2)"), ({"embed_dim": 16}, "(24, 24, 16, 2)"), ({"layers": 3}, "(24, 24, 8, 3)")],
+        ids=["dataset", "embed_dim", "layers"],
+    )
+    def test_dimension_mismatch_is_a_data_error(self, tmp_path, over, want):
         cfg = small_config(tmp_path, epochs=3)
         res = run_training(cfg)
-        other = generate_blocks(tmp_path / "other", 10, 10, 2, 0.0, 1)
-        cfg2 = RunConfig(
-            train_path=str(other["train"]),
-            test_path=str(other["test"]),
-            val_path=str(other["val"]),
-            eval_ks=[3],
-        )
-        with pytest.raises(DataError, match="checkpoint tables"):
-            run_eval(cfg2, res.checkpoint_path)
+        if not over:
+            other = generate_blocks(tmp_path / "other", 10, 10, 2, 0.0, 1)
+            over = {f"{split}_path": str(other[split]) for split in ("train", "test", "val")}
+        # the checkpoint holds 24 users, 24 items, 8 dims and 2 layers
+        with pytest.raises(DataError, match=re.escape(f"(24, 24, 8, 2) but the dataset and config give {want}")):
+            run_eval(dataclasses.replace(cfg, **over), res.checkpoint_path)
 
     def test_matches_the_training_runs_test_result(self, tmp_path):
         cfg = small_config(tmp_path, epochs=6, eval_ks=[1, 3, 10])

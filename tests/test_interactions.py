@@ -1,7 +1,11 @@
 """Interaction file ingestion, splits, and graph construction."""
 
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svdgcl.errors import DataError, ParseError, ProtocolError
 from svdgcl.interactions import (
@@ -232,6 +236,71 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.train, ds.train)
         np.testing.assert_array_equal(again.validation, ds.validation)
         np.testing.assert_array_equal(again.test, ds.test)
+
+
+# opaque ids: printable, no whitespace, and no leading "#", which would
+# make a line a comment
+_ID = st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=4).filter(
+    lambda s: not s.startswith("#")
+)
+_NOISE = st.sampled_from(["", "   ", "# a comment", "#u i", "\t# indented comment"])
+
+
+@st.composite
+def _pair_file_texts(draw):
+    """Train, validation and test file texts over drawn ids, with blank
+    lines, comments, extra fields, odd separators and repeated lines mixed
+    in. Every pair lands in one split, and test pairs keep to trained users
+    and items, so each draw loads."""
+    users = draw(st.lists(_ID, min_size=1, max_size=6, unique=True))
+    items = draw(st.lists(_ID, min_size=1, max_size=6, unique=True))
+    pair = st.tuples(st.sampled_from(users), st.sampled_from(items))
+    pairs = draw(st.lists(pair, min_size=1, max_size=20, unique=True))
+    where = [0] + draw(st.lists(st.integers(0, 2), min_size=len(pairs) - 1, max_size=len(pairs) - 1))
+    split_pairs = [[p for p, w in zip(pairs, where) if w == s] for s in range(3)]
+    trained_users, trained_items = ({p[c] for p in split_pairs[0]} for c in (0, 1))
+    split_pairs[2] = [(u, i) for u, i in split_pairs[2] if u in trained_users and i in trained_items]
+    texts = []
+    for chosen in split_pairs:
+        lines = []
+        for u, i in chosen:
+            lead, sep = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from([" ", "\t", "  \t "]))
+            lines.append(f"{lead}{u}{sep}{i}" + draw(st.sampled_from(["", " 4.5", "\t1 2", " x"])))
+        for _ in range(draw(st.integers(0, 4))):
+            extra = draw(_NOISE | st.sampled_from(lines)) if lines else draw(_NOISE)
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        texts.append("".join(line + "\n" for line in lines))
+    return texts
+
+
+@pytest.fixture(scope="module")
+def pair_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pairs")
+
+
+class TestRoundTripProperty:
+    @given(_pair_file_texts())
+    def test_load_write_load_is_a_fixed_point(self, pair_dir, texts):
+        names = ("train.txt", "val.txt", "test.txt")
+        for name, text in zip(names, texts):
+            (pair_dir / name).write_text(text)
+
+        def write_back(ds, run):
+            out = pair_dir / run
+            out.mkdir(exist_ok=True)
+            write_pair_files(ds, out / "train.txt", out / "test.txt", out / "val.txt")
+            return out
+
+        ds = load_interactions(pair_dir / "train.txt", pair_dir / "test.txt", pair_dir / "val.txt")
+        first = write_back(ds, "first")
+        again = load_interactions(first / "train.txt", first / "test.txt", first / "val.txt")
+        second = write_back(again, "second")
+        # dict order is first appearance, so compare the maps as item lists
+        assert list(again.user_id_map.items()) == list(ds.user_id_map.items())
+        assert list(again.item_id_map.items()) == list(ds.item_id_map.items())
+        for split in ("train", "validation", "test"):
+            np.testing.assert_array_equal(getattr(again, split), getattr(ds, split))
+        assert [(first / n).read_bytes() for n in names] == [(second / n).read_bytes() for n in names]
 
 
 class TestGraph:

@@ -1,4 +1,4 @@
-"""Ranking, recall, NDCG, and the evaluation loop, vs brute force."""
+"""The blocked ranking engine: ranking, recall, NDCG and evaluation, vs brute force."""
 
 import math
 
@@ -8,17 +8,9 @@ import pytest
 from svdgcl import metrics
 from svdgcl.errors import NumericalError
 from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
-from svdgcl.metrics import (
-    EvalResult,
-    evaluate,
-    evaluate_popularity,
-    ndcg_at_k,
-    popularity_baseline,
-    rank_items,
-    recall_at_k,
-)
+from svdgcl.metrics import EvalResult, evaluate, evaluate_popularity
 from svdgcl.model import HyperParams, ModelState, forward, init_model
-from tests.util import metrics_over_users_loop, tiny_dataset
+from tests.util import metrics_over_users_loop, one_user_dataset, tiny_dataset
 
 
 def brute_rank(scores, masked, k):
@@ -40,20 +32,40 @@ def brute_ndcg(ranked, relevant, k):
     return gain / ideal
 
 
-class TestRankItems:
+def engine(scores, masked, relevant, ks):
+    """The blocked engine on one user: masked items are its train split,
+    relevant items its validation split."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ds = one_user_dataset(scores.shape[0], masked, relevant)
+    return metrics._ranked_metrics(ds, ks, lambda lo, hi: scores[None, :].copy(), split="val")
+
+
+def engine_order(scores, masked):
+    """The engine's full ranking of the unmasked items, read back one item
+    at a time: with item j alone relevant, recall@k is 1 exactly when j's
+    0-based rank is below k, so the rank is the number of cutoffs it misses."""
+    avail = len(scores) - len(masked)
+    ranks = {}
+    for j in set(range(len(scores))) - set(masked):
+        recall = engine(scores, masked, {j}, range(1, avail + 1)).recall
+        ranks[j] = avail - int(sum(recall.values()))
+    return sorted(ranks, key=ranks.get)
+
+
+class TestEngineRanking:
     def test_hand_case_with_ties(self):
-        scores = np.array([0.5, 0.9, 0.5, 0.1])
-        np.testing.assert_array_equal(rank_items(scores, set(), 4), [1, 0, 2, 3])
+        assert engine_order([0.5, 0.9, 0.5, 0.1], set()) == [1, 0, 2, 3]
 
     def test_masking_removes_train_items(self):
-        scores = np.array([0.9, 0.8, 0.7])
-        np.testing.assert_array_equal(rank_items(scores, {0}, 2), [1, 2])
+        assert engine_order([0.9, 0.8, 0.7], {0}) == [1, 2]
 
-    def test_k_beyond_available_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            rank_items(np.array([1.0, 2.0]), {0}, 2)
-        with pytest.raises(ValueError):
-            rank_items(np.array([1.0]), set(), 0)
+    def test_cutoff_beyond_available_is_clamped(self):
+        # one unmasked item: every cutoff past it reads as the cutoff 1
+        got = engine([1.0, 2.0], {0}, {1}, [1, 2, 5])
+        assert got.recall == {1: 1.0, 2: 1.0, 5: 1.0}
+        assert got.ndcg == {1: 1.0, 2: 1.0, 5: 1.0}
+        with pytest.raises(ValueError, match="cutoffs must be positive"):
+            engine([1.0], set(), {0}, [0])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(33)
@@ -62,34 +74,40 @@ class TestRankItems:
             # coarse scores force plenty of ties
             scores = rng.integers(0, 4, size=n).astype(float)
             masked = set(rng.choice(n, size=int(rng.integers(0, n // 2 + 1)), replace=False).tolist())
-            k = int(rng.integers(1, n - len(masked) + 1))
-            got = rank_items(scores, masked, k)
-            np.testing.assert_array_equal(got, brute_rank(scores, masked, k))
+            want = brute_rank(scores, masked, n - len(masked))
+            np.testing.assert_array_equal(engine_order(scores, masked), want)
 
 
-class TestRecallNdcg:
+def scores_in_order(ranked, n):
+    """Scores over n items under which the items in ranked come first, in that order."""
+    scores = np.zeros(n)
+    scores[ranked] = np.arange(len(ranked), 0, -1)
+    return scores
+
+
+class TestEngineRecallNdcg:
     def test_single_hit_frozen_value(self):
-        ranked = np.array([9, 8, 7, 3, 6])
         # the only relevant item sits at rank 4 of 5
-        assert abs(ndcg_at_k(ranked, {3}, 5) - 0.43067655807339306) < 1e-15
-        assert recall_at_k(ranked, {3}) == 1.0
+        got = engine(scores_in_order([9, 8, 7, 3, 6], 10), set(), {3}, [5])
+        assert abs(got.ndcg[5] - 0.43067655807339306) < 1e-15
+        assert got.recall[5] == 1.0
 
-    def test_empty_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            recall_at_k(np.array([1, 2]), set())
-        with pytest.raises(ValueError):
-            ndcg_at_k(np.array([1, 2]), set(), 2)
+    def test_user_without_relevant_items_is_not_counted(self):
+        # an empty relevant set is no error: the user drops out of the means
+        scores = np.array([[0.9, 0.1, 0.5], [0.9, 0.1, 0.5]])
+        ds = InteractionDataset(2, 3, train=[(0, 0), (1, 0)], validation=[(1, 1)], test=[])
+        got = metrics._ranked_metrics(ds, [1, 2], lambda lo, hi: scores[lo:hi].copy(), split="val")
+        assert got == EvalResult(recall={1: 0.0, 2: 1.0}, ndcg={1: 0.0, 2: 1.0 / math.log2(3)}, users_evaluated=1)
 
     def test_perfect_prefix_is_one(self):
-        ranked = np.array([4, 2, 9, 1])
-        assert ndcg_at_k(ranked, {4, 2}, 2) == 1.0
-        assert recall_at_k(ranked[:2], {4, 2}) == 1.0
+        got = engine(scores_in_order([4, 2, 9, 1], 10), set(), {4, 2}, [2])
+        assert got.ndcg[2] == 1.0
+        assert got.recall[2] == 1.0
 
     def test_ideal_normalizer_caps_at_k(self):
         # three relevant items but only two slots: ideal uses two gains
-        ranked = np.array([5, 6])
-        got = ndcg_at_k(ranked, {5, 6, 7}, 2)
-        assert got == 1.0
+        got = engine(scores_in_order([5, 6], 10), set(), {5, 6, 7}, [2])
+        assert got.ndcg[2] == 1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(44)
@@ -97,9 +115,10 @@ class TestRecallNdcg:
             n = int(rng.integers(4, 25))
             ranked = rng.permutation(n)
             rel = set(rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False).tolist())
-            k = int(rng.integers(1, n + 1))
-            assert abs(recall_at_k(ranked[:k], rel) - brute_recall(ranked[:k], rel)) < 1e-12
-            assert abs(ndcg_at_k(ranked, rel, k) - brute_ndcg(ranked, rel, k)) < 1e-12
+            got = engine(scores_in_order(ranked, n), set(), rel, range(1, n + 1))
+            for k in range(1, n + 1):
+                assert abs(got.recall[k] - brute_recall(ranked[:k], rel)) < 1e-12
+                assert abs(got.ndcg[k] - brute_ndcg(ranked, rel, k)) < 1e-12
 
     def test_recall_monotone_in_k(self):
         rng = np.random.default_rng(45)
@@ -107,7 +126,7 @@ class TestRecallNdcg:
             n = 15
             ranked = rng.permutation(n)
             rel = set(rng.choice(n, size=4, replace=False).tolist())
-            vals = [recall_at_k(ranked[:k], rel) for k in range(1, n + 1)]
+            vals = list(engine(scores_in_order(ranked, n), set(), rel, range(1, n + 1)).recall.values())
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -153,34 +172,28 @@ class TestEvaluate:
 
 
 class TestPopularity:
-    def test_baseline_order_frozen_case(self):
-        # known counts: item0 x3, item2 x2, item1 x1, item3 unseen
-        from svdgcl.interactions import InteractionDataset
-
+    def test_frozen_case_masks_train_and_breaks_ties_low(self):
+        # train counts: item0 x3, item2 x2, items 1 and 3 x1 each, item4 unseen
         ds = InteractionDataset(
             num_users=3,
-            num_items=4,
-            train=np.array([[0, 0], [1, 0], [2, 0], [0, 2], [1, 2], [2, 1]], dtype=np.int64),
+            num_items=5,
+            train=np.array([[0, 0], [1, 0], [2, 0], [0, 2], [1, 2], [2, 1], [2, 3]], dtype=np.int64),
             validation=np.empty((0, 2), dtype=np.int64),
-            test=np.array([[0, 1]], dtype=np.int64),
-            user_id_map={f"u{i}": i for i in range(3)},
-            item_id_map={f"i{i}": i for i in range(4)},
+            test=np.array([[0, 3]], dtype=np.int64),
         )
-        order = popularity_baseline(ds)
-        np.testing.assert_array_equal(order, [0, 2, 1, 3])
+        # user 0 masks items 0 and 2; items 1 and 3 tie and item 1, the lower, ranks first
+        got = evaluate_popularity(ds, ks=[1, 2])
+        assert got == EvalResult(recall={1: 0.0, 2: 1.0}, ndcg={1: 0.0, 2: 1.0 / math.log2(3)}, users_evaluated=1)
 
     def test_popularity_evaluation_masks_train(self):
         ds = tiny_dataset()
         res = evaluate_popularity(ds, ks=[3])
-        # recompute with the shared brute force machinery
-        order = popularity_baseline(ds)
-        scores = np.zeros(ds.num_items)
-        scores[order] = np.arange(ds.num_items, 0, -1)
+        counts = np.bincount(ds.train[:, 1], minlength=ds.num_items)
         train_items = ds.items_by_user("train")
         test_items = ds.items_by_user("test")
         recs = []
         for u in range(ds.num_users):
-            ranked = brute_rank(scores, set(train_items[u].tolist()), 3)
+            ranked = brute_rank(counts, set(train_items[u].tolist()), 3)
             recs.append(brute_recall(ranked, set(test_items[u].tolist())))
         assert abs(res.recall[3] - np.mean(recs)) < 1e-12
 

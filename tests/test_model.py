@@ -77,6 +77,13 @@ class TestHyperParams:
             dict(embed_dim=2.5),
             dict(epochs=True),
             dict(batch_size=float("nan")),
+            dict(temperature=float("inf")),
+            dict(lambda1=float("inf")),
+            dict(lambda2=float("inf")),
+            dict(learning_rate=float("inf")),
+            dict(learning_rate="inf"),
+            dict(lambda1="1e400"),
+            dict(temperature=-float("inf")),
         ],
     )
     def test_bad_values_rejected(self, bad):

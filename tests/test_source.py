@@ -18,3 +18,20 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert on lines {lines}"
+
+
+def test_export_list_matches_the_imports():
+    import svdgcl
+
+    star = {}
+    exec("from svdgcl import *", star)
+    assert set(star) - {"__builtins__"} == set(svdgcl.__all__)
+    assert all(hasattr(svdgcl, name) for name in svdgcl.__all__)
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(imported) == sorted(svdgcl.__all__)

@@ -140,8 +140,9 @@ def infonce_layer_one_buffer(a, b, tau, want_grads):
     return loss_sum, ga, gb
 
 
-def rank_items_argsort(scores, masked, k):
-    """The k best unmasked items by a full stable argsort (lower index wins ties)."""
+def rank_items(scores, masked, k):
+    """The k best unmasked items by a full stable argsort (lower index wins
+    ties); asking for more items than remain after masking is an error."""
     scores = np.asarray(scores, dtype=np.float64)
     masked = np.asarray(list(masked) if isinstance(masked, set) else masked, dtype=np.int64)
     available = scores.shape[0] - masked.shape[0]
@@ -155,15 +156,50 @@ def rank_items_argsort(scores, masked, k):
     return order[:k]
 
 
+def recall_at_k(ranked, relevant):
+    """Fraction of the relevant set that made the ranked list."""
+    relevant = set(int(i) for i in relevant)
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    hits = sum(1 for i in ranked if int(i) in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at_k(ranked, relevant, k):
+    """Binary-gain NDCG: hit at position i earns 1/log2(i+2), normalized by
+    the best arrangement of min(k, |relevant|) hits."""
+    relevant = set(int(i) for i in relevant)
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    gains = 1.0 / np.log2(np.arange(k) + 2.0)
+    dcg = sum(gains[i] for i, item in enumerate(ranked[:k]) if int(item) in relevant)
+    ideal = gains[: min(k, len(relevant))].sum()
+    return float(dcg / ideal)
+
+
+def one_user_dataset(num_items, masked, relevant):
+    """One user over num_items items: masked is its train split and relevant
+    its validation split. Validation is not checked for warm start, so an
+    empty mask builds too. Rank it with split="val"."""
+    return InteractionDataset(
+        num_users=1,
+        num_items=num_items,
+        train=[(0, int(i)) for i in sorted(masked)],
+        validation=[(0, int(i)) for i in sorted(relevant)],
+        test=[],
+    )
+
+
 def metrics_over_users_loop(ds, ks, score_row, split="test"):
-    """Ranking metrics by one GEMV-scored, fully argsorted user at a time.
+    """Ranking metrics by one GEMV-scored, fully argsorted user at a time,
+    from the per-user oracles above.
 
     A frozen reference for metrics._ranked_metrics, which scores users in
     blocks and ranks by counting; the two must agree to the last bit.
     score_row(u) yields user u's item scores. A cutoff listed twice adds
     twice, so callers pass distinct cutoffs.
     """
-    from svdgcl.metrics import EvalResult, ndcg_at_k, recall_at_k
+    from svdgcl.metrics import EvalResult
 
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1:
@@ -180,7 +216,7 @@ def metrics_over_users_loop(ds, ks, score_row, split="test"):
         users += 1
         masked = train_items[u]
         available = ds.num_items - masked.shape[0]
-        ranked = rank_items_argsort(score_row(u), masked, min(ks[-1], available))
+        ranked = rank_items(score_row(u), masked, min(ks[-1], available))
         prev = -1.0
         for k in ks:
             k_eff = min(k, available)
