@@ -6,6 +6,7 @@ identical streams.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -160,6 +161,19 @@ class TrainResult:
     svd_runs: int
 
 
+def _fix_malloc_thresholds() -> bool:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    so that the peak memory of a run repeats. Left to slide, the mmap
+    threshold follows the buffers freed, and identical S runs peaked at
+    about 138 or about 148 MB. Returns whether glibc took both values."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+
+
 def _load_graph(config: RunConfig):
     """The configured dataset and its normalized adjacency."""
     if config.train_path is None or config.test_path is None:
@@ -206,8 +220,9 @@ def run_training(config: RunConfig) -> TrainResult:
     exactly once per call; with lambda1 == 0 it is skipped entirely along
     with the whole global-view branch. The best-by-validation checkpoint is
     what gets evaluated on test at the end; without a validation signal the
-    last epoch wins.
+    last epoch wins. It first fixes the process's malloc thresholds.
     """
+    _fix_malloc_thresholds()
     ds, a_norm = _load_graph(config)
     state = init_model(ds, config)
     opt = init_optimizer(state)

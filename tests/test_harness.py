@@ -9,6 +9,7 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import re
 from pathlib import Path
 
@@ -413,6 +414,15 @@ class TestTraining:
         res = run_training(cfg)
         assert res.checkpoint_path is None
         assert res.epochs_run == 0
+
+    def test_run_fixes_the_malloc_thresholds(self, tmp_path, monkeypatch):
+        # left to slide, glibc's mmap threshold made identical runs peak
+        # about 10 MB apart
+        fix = harness._fix_malloc_thresholds
+        calls = []
+        monkeypatch.setattr(harness, "_fix_malloc_thresholds", lambda: calls.append(fix()))
+        run_training(small_config(tmp_path, epochs=1))
+        assert calls == [platform.libc_ver()[0] == "glibc"]
 
     def test_runaway_learning_rate_raises_numerical_error(self, tmp_path):
         cfg = small_config(tmp_path, learning_rate=1e200, epochs=4)
