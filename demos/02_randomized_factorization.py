@@ -54,5 +54,7 @@ print("of densifying a rows x cols matrix first.")
 print()
 print("== graceful degradation past the true rank ==")
 wide = approx_svd(a, 10, oversample=8, power_iters=4, seed=1)
-print(f"asked for rank 10, got rank {wide.rank}: the projected problem only")
-print("carries as many numerically independent directions as the data has.")
+assert wide.rank == rank
+print(f"asked for rank 10, got rank {wide.rank}: singular values at or below")
+print("numpy's matrix_rank tolerance, s[0] * max(shape) * eps, are dropped, so")
+print("the factors carry only the numerically independent directions the data has.")

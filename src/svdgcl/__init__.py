@@ -21,7 +21,6 @@ from .linalg import (
     SvdFactors,
     approx_svd,
     exact_svd_dense,
-    qr_orthonormalize,
     svd_propagate,
 )
 from .losses import (
@@ -94,7 +93,6 @@ __all__ = [
     "loss_and_grads",
     "normalize_adjacency",
     "predict_scores",
-    "qr_orthonormalize",
     "run_eval",
     "run_svd_report",
     "run_training",

@@ -105,26 +105,28 @@ def configure_logging(log_path=None):
     the length of the block. On exit, normal or by exception, they are
     removed and closed and the logger's earlier handlers, level and
     propagate flag come back, so a run call leaves the process's logging
-    as it found it. The environment variable SVDGCL_LOG picks the level
-    (default INFO); nothing else about logging is environment-dependent.
+    as it found it. The environment variable SVDGCL_LOG picks the level of
+    stdout (default INFO); the file mirror always holds the INFO stream, so
+    its bytes do not depend on the environment.
     """
     level_name = os.environ.get(LOG_ENV_VAR, "INFO").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
         raise ConfigError(f"{LOG_ENV_VAR}={level_name!r} is not a log level")
     formatter = logging.Formatter("%(message)s")
-    added = [logging.StreamHandler(sys.stdout)]
+    added = {logging.StreamHandler(sys.stdout): level}
     if log_path is not None:
         Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        added.append(logging.FileHandler(log_path, mode="w"))
+        added[logging.FileHandler(log_path, mode="w")] = logging.INFO
     root = logging.getLogger("svdgcl")
     earlier, earlier_level, earlier_propagate = list(root.handlers), root.level, root.propagate
     for handler in earlier:
         root.removeHandler(handler)
-    for handler in added:
+    for handler, handler_level in added.items():
         handler.setFormatter(formatter)
+        handler.setLevel(handler_level)
         root.addHandler(handler)
-    root.setLevel(level)
+    root.setLevel(min(level, logging.INFO))
     root.propagate = False
     try:
         yield

@@ -1,9 +1,9 @@
-"""Orthonormalization, truncated SVD of the graph, and factored products.
+"""Truncated SVD of the graph, and factored products.
 
-The randomized path (sketch, power iterations, small exact factorization)
-is written out here; the small dense factorization it relies on wraps
-numpy's LAPACK driver and is size-capped so it only ever runs on thin
-projected matrices or test oracles.
+The randomized path (Gaussian sketch, power iterations with LAPACK QR, small
+exact factorization) keeps at most the asked-for rank, and only singular
+values above numpy's matrix_rank tolerance. The small dense factorization is
+size-capped so it only ever runs on thin projected matrices or test oracles.
 """
 from __future__ import annotations
 
@@ -19,37 +19,6 @@ logger = logging.getLogger("svdgcl.linalg")
 
 # refuse dense factorizations whose small dimension exceeds this
 MAX_EXACT_SVD_DIM = 500
-
-def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column space of m.
-
-    Modified Gram-Schmidt with a second orthogonalization pass per column.
-    Columns that become numerically dependent are dropped and the retained
-    count is logged, so the result may be thinner than the input.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    rows, cols = m.shape
-    if rows < cols:
-        raise ValueError(f"need rows >= cols, got {rows}x{cols}")
-    basis: list[np.ndarray] = []
-    for j in range(cols):
-        v = m[:, j].copy()
-        ref = np.linalg.norm(v)
-        for _ in range(2):
-            for q in basis:
-                v -= (q @ v) * q
-        norm = np.linalg.norm(v)
-        if norm <= max(ref, 1e-300) * 1e-12:
-            continue
-        basis.append(v / norm)
-    if not basis:
-        raise ValueError("all columns are numerically zero")
-    if len(basis) < cols:
-        logger.warning("qr_orthonormalize dropped %d dependent columns, retained %d", cols - len(basis), len(basis))
-    return np.column_stack(basis)
-
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -114,9 +83,11 @@ def approx_svd(a: csr_array, r: int, oversample: int = 8, power_iters: int = 4, 
     """Randomized truncated SVD of a sparse matrix.
 
     Sketches the range with a seeded Gaussian test matrix of r + oversample
-    columns, sharpens it with power_iters passes of (a a.T), orthonormalizing
-    between passes, then factorizes the small projected matrix exactly and
-    truncates to rank r.
+    columns, sharpens it with power_iters passes of (a a.T) orthonormalized
+    by LAPACK QR, then factorizes the small projected matrix b exactly. It
+    keeps at most r singular values, and only those above b's matrix_rank
+    tolerance s[0] * max(b.shape) * eps, warning when fewer than r remain;
+    a numerically zero matrix keeps none and raises ValueError.
 
     Parameters
     ----------
@@ -143,18 +114,19 @@ def approx_svd(a: csr_array, r: int, oversample: int = 8, power_iters: int = 4, 
             f"sketch width r+oversample={width} exceeds min dimension of {rows}x{cols}"
         )
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
-    omega = rng.standard_normal((cols, width))
-    y = a @ omega
-    q = qr_orthonormalize(y)
+    q = np.linalg.qr(a @ rng.standard_normal((cols, width)))[0]
     for _ in range(power_iters):
-        z = a.T @ q
-        z = qr_orthonormalize(z)
-        q = qr_orthonormalize(a @ z)
+        z = np.linalg.qr(a.T @ q)[0]
+        q = np.linalg.qr(a @ z)[0]
     b = (a.T @ q).T  # width x cols projected matrix
     small = exact_svd_dense(b)
-    keep = min(r, small.rank)
-    u = q @ small.u_r[:, :keep]
-    u, v = _fix_signs(u, small.v_r[:, :keep])
+    tol = small.s_r[0] * max(b.shape) * np.finfo(np.float64).eps
+    keep = int(np.count_nonzero(small.s_r[:r] > tol))
+    if keep == 0:
+        raise ValueError("matrix is numerically zero: no singular value above the rank tolerance")
+    if keep < r:
+        logger.warning("approx_svd asked for rank %d, kept %d above the rank tolerance", r, keep)
+    u, v = _fix_signs(q @ small.u_r[:, :keep], small.v_r[:, :keep])
     factors = SvdFactors(u_r=u, s_r=small.s_r[:keep], v_r=v, rank=keep)
     logger.debug("singular values %s", " ".join(f"{x:.12g}" for x in factors.s_r))
     return factors

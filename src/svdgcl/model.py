@@ -212,15 +212,14 @@ def forward(
     hp: HyperParams | None = None,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    with_global_view: bool | None = None,
 ) -> ForwardTrace:
     """Run the propagation stack and capture what the objective needs.
 
-    Train mode needs hp (for dropout_p and the branch gate) and draws
-    dropout masks from rng, or from state.rng when rng is None; two
-    generators seeded alike replay the same masks. Eval mode drops nothing
-    and skips the reconstruction branch unless asked. The final tables are
-    the running states summed in layer order, embeddings first.
+    Train mode needs hp and draws dropout masks from rng, or from state.rng
+    when rng is None; two generators seeded alike replay the same masks. It
+    runs the global view through svd exactly when hp.lambda1 > 0. Eval mode
+    drops nothing and skips the view. The final tables are the running
+    states summed in layer order, embeddings first.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -231,11 +230,10 @@ def forward(
         )
     if mode == "train" and hp is None:
         raise ValueError("train-mode forward needs hyperparameters")
-    p = hp.dropout_p if (mode == "train" and hp is not None) else 0.0
-    if with_global_view is None:
-        with_global_view = mode == "train" and hp is not None and hp.lambda1 > 0
+    p = hp.dropout_p if mode == "train" else 0.0
+    with_global_view = mode == "train" and hp.lambda1 > 0
     if with_global_view and svd is None:
-        raise ValueError("global view requested but no factorization given")
+        raise ValueError("global view (lambda1 > 0) needs a factorization")
 
     trace = ForwardTrace(mode=mode)
     if with_global_view:

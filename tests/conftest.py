@@ -1,5 +1,7 @@
 """One hypothesis profile for the whole suite: examples drawn from a fixed
-seed, no time limit per example, and no example database."""
+seed, no time limit per example, and no example database. The
+--reverse-order option runs the collected tests last to first, to catch
+tests that pass only after (or before) another one."""
 
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -14,3 +16,14 @@ def pytest_configure(config):
     # cache (absent under -p no:cacheprovider)
     if hasattr(config, "cache"):
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--reverse-order", action="store_true", default=False, help="run the collected tests in reverse order"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--reverse-order"):
+        items.reverse()

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from svdgcl import harness, linalg, losses
 from svdgcl.checkpoint import load_checkpoint, save_checkpoint
@@ -255,21 +256,36 @@ class TestOneTypingRule:
 
 
 class TestLogging:
-    def test_env_level_and_file_mirror(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(LOG_ENV_VAR, "WARNING")
+    @pytest.mark.parametrize(
+        "level,stdout", [("WARNING", "loud\n"), ("INFO", "quiet\nloud\n"), ("DEBUG", "hidden\nquiet\nloud\n")]
+    )
+    def test_env_level_and_file_mirror(self, tmp_path, monkeypatch, capsys, level, stdout):
+        # the environment sets the stdout level only; the file mirror always
+        # holds the INFO stream and never DEBUG
+        monkeypatch.setenv(LOG_ENV_VAR, level)
         log_file = tmp_path / "run.log"
         before = svdgcl_logger_state()
         with configure_logging(log_file):
             lg = logging.getLogger("svdgcl")
+            lg.debug("hidden")
             lg.info("quiet")
             lg.warning("loud")
             (mirror,) = [h for h in lg.handlers if isinstance(h, logging.FileHandler)]
         assert svdgcl_logger_state() == before
         assert mirror.stream is None  # closed on exit
-        text = log_file.read_text()
-        assert "loud" in text and "quiet" not in text
         # message-only format: no level names or logger names in lines
-        assert "WARNING" not in text
+        assert log_file.read_text() == "quiet\nloud\n"
+        assert capsys.readouterr().out == stdout
+
+    def test_log_file_bytes_do_not_depend_on_the_level(self, tmp_path, monkeypatch):
+        logs = {}
+        for level in ("INFO", "WARNING", "DEBUG"):
+            monkeypatch.setenv(LOG_ENV_VAR, level)
+            log_file = tmp_path / f"{level}.log"
+            run_training(small_config(tmp_path, name=level, epochs=3, log_path=str(log_file)))
+            logs[level] = log_file.read_bytes()
+        assert b"epoch=3 rec=" in logs["INFO"]
+        assert logs["WARNING"] == logs["INFO"] == logs["DEBUG"]
 
     def test_bad_level_rejected(self, monkeypatch):
         monkeypatch.setenv(LOG_ENV_VAR, "SHOUTING")
@@ -572,6 +588,13 @@ class TestSvdReport:
                 call(cfg)
         # without the contrast nothing is factorized, so any rank trains
         assert run_training(dataclasses.replace(cfg, lambda1=0.0)).epochs_run == 1
+
+    def test_numerically_zero_graph_is_a_config_error(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, svd_rank=4)
+        ds, a_norm = harness._load_graph(cfg)
+        monkeypatch.setattr(harness, "_load_graph", lambda config: (ds, csr_array(a_norm.shape)))
+        with pytest.raises(ConfigError, match="svd_rank=4 .* numerically zero"):
+            run_svd_report(cfg)
 
     def test_dense_residual_on_small_graph(self, tmp_path):
         cfg = small_config(tmp_path, svd_rank=4)

@@ -1,9 +1,12 @@
-"""Orthonormalization and the two SVD routes.
+"""The two SVD routes and the randomized route's rank rule.
 
 exact_svd_dense is the oracle route, so it is checked against closed
 forms and reconstruction identities rather than against itself; the
-randomized route is then checked against it.
+randomized route is then checked against it, and against a frozen copy of
+itself as it was on Gram-Schmidt orthonormalization.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from svdgcl.linalg import (
     SvdFactors,
     approx_svd,
     exact_svd_dense,
-    qr_orthonormalize,
     svd_propagate,
 )
+from tests.util import approx_svd_gram_schmidt
 
 
 def sparse_from_dense(d):
@@ -25,34 +28,76 @@ def sparse_from_dense(d):
     return csr_array((d[r, c], (r, c)), shape=d.shape)
 
 
-class TestOrthonormalize:
-    def test_output_is_orthonormal_and_spans_input(self):
+def block_rank_one(rng, shape, scales):
+    """Block-diagonal sparse matrix, one rank-1 block per scale: its rank is
+    len(scales) and its singular values are the scales times the norms of
+    the block vectors, so geometric scales give a well-separated spectrum."""
+    d = np.zeros(shape)
+    rb, cb = shape[0] // len(scales), shape[1] // len(scales)
+    for b, scale in enumerate(scales):
+        u = rng.standard_normal(rb) + 2.0
+        v = rng.standard_normal(cb) + 2.0
+        d[b * rb:(b + 1) * rb, b * cb:(b + 1) * cb] = scale * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    return sparse_from_dense(d), d
+
+
+class TestRankRule:
+    def test_factors_are_orthonormal_and_span_the_input(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            rows = int(rng.integers(4, 40))
-            cols = int(rng.integers(1, min(rows, 8) + 1))
-            m = rng.standard_normal((rows, cols))
-            q = qr_orthonormalize(m)
-            np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10)
-            # every input column lies in the span of q
-            resid = m - q @ (q.T @ m)
-            assert np.abs(resid).max() < 1e-9 * max(1.0, np.abs(m).max())
+            rank = int(rng.integers(1, 6))
+            rows, cols = (int(x) for x in rng.integers(12, 40, size=2) // rank * rank)
+            a, d = block_rank_one(rng, (rows, cols), 0.8 ** np.arange(rank))
+            f = approx_svd(a, rank, oversample=int(rng.integers(0, 5)), power_iters=2, seed=int(rng.integers(100)))
+            np.testing.assert_allclose(f.u_r.T @ f.u_r, np.eye(f.rank), atol=1e-10)
+            np.testing.assert_allclose(f.v_r.T @ f.v_r, np.eye(f.rank), atol=1e-10)
+            # every input column lies in the span of u_r
+            resid = d - f.u_r @ (f.u_r.T @ d)
+            assert np.abs(resid).max() < 1e-9 * max(1.0, np.abs(d).max())
 
-    def test_dependent_columns_dropped(self):
-        rng = np.random.default_rng(6)
-        base = rng.standard_normal((20, 3))
-        m = np.hstack([base, base[:, :1] * 2.0 + base[:, 1:2]])
-        q = qr_orthonormalize(m)
-        assert q.shape[1] == 3
-        np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-10)
+    def test_rank_deficient_input_keeps_its_rank(self, caplog):
+        a, d = block_rank_one(np.random.default_rng(6), (30, 24), [3.0, 2.0, 1.0])
+        with caplog.at_level(logging.WARNING, logger="svdgcl.linalg"):
+            f = approx_svd(a, 5, seed=3)
+        assert f.rank == 3
+        # numpy's matrix_rank floor for the 13 x 24 projected matrix
+        floor = f.s_r[0] * 24 * np.finfo(np.float64).eps
+        assert np.all(f.s_r > floor)
+        np.testing.assert_allclose(f.s_r, [3.0, 2.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(f.reconstruct(), d, atol=1e-12)
+        assert [r.getMessage() for r in caplog.records] == [
+            "approx_svd asked for rank 5, kept 3 above the rank tolerance"
+        ]
+
+    def test_full_rank_request_logs_nothing(self, caplog):
+        a, _ = block_rank_one(np.random.default_rng(7), (30, 24), [3.0, 2.0, 1.0])
+        with caplog.at_level(logging.WARNING, logger="svdgcl.linalg"):
+            assert approx_svd(a, 3, seed=3).rank == 3
+        assert caplog.records == []
 
     def test_all_zero_input_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            qr_orthonormalize(np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="numerically zero"):
+            approx_svd(csr_array((12, 10)), 2)
 
-    def test_wide_input_rejected(self):
-        with pytest.raises(ValueError):
-            qr_orthonormalize(np.zeros((2, 5)))
+    def test_too_wide_input_rejected(self):
+        a = sparse_from_dense(np.ones((2, 5)))
+        with pytest.raises(ValueError, match="exceeds min dimension"):
+            approx_svd(a, 1)
+        with pytest.raises(ValueError, match="exceeds min dimension"):
+            approx_svd(a, 3, oversample=0)
+
+    @pytest.mark.parametrize("blocks,r", [(16, 4), (12, 6), (20, 1), (3, 5), (2, 2)])
+    def test_matches_the_gram_schmidt_route(self, blocks, r):
+        rng = np.random.default_rng(blocks * 10 + r)
+        for trial in range(3):
+            a, _ = block_rank_one(rng, (blocks * 5, blocks * 4), 0.7 ** np.arange(blocks))
+            kw = dict(oversample=min(8, blocks * 4 - r), power_iters=trial + 2, seed=trial)
+            got = approx_svd(a, r, **kw)
+            want = approx_svd_gram_schmidt(a, r, **kw)
+            assert got.rank == want.rank == min(r, blocks)
+            np.testing.assert_allclose(got.s_r, want.s_r, rtol=1e-10, atol=0)
+            np.testing.assert_allclose(got.u_r, want.u_r, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.v_r, want.v_r, rtol=0, atol=1e-10)
 
 
 class TestFactors:

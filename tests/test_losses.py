@@ -6,6 +6,7 @@ generator seeded alike), so the stochastic forward is held fixed while
 each coordinate moves.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -481,7 +482,7 @@ class TestObjective:
 
     def test_missing_view_rejected(self):
         ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, hp=hp, mode="train", with_global_view=False)
+        trace = forward(state, a, hp=dataclasses.replace(hp, lambda1=0.0), mode="train")
         with pytest.raises(ValueError, match="global view"):
             total_loss(trace, batch, state, hp)
 

@@ -6,6 +6,7 @@ traced version shows up as a mismatch.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -219,7 +220,8 @@ class TestForward:
     def test_view_never_feeds_predictions(self):
         # same weights, view on and off: identical finals
         t1 = forward(self.state, self.a, svd=self.svd, hp=self.hp, mode="train")
-        t2 = forward(self.state, self.a, hp=self.hp, mode="train", with_global_view=False)
+        t2 = forward(self.state, self.a, hp=dataclasses.replace(self.hp, lambda1=0.0), mode="train")
+        assert t2.pre_g_user is None
         np.testing.assert_array_equal(t1.final_user, t2.final_user)
         np.testing.assert_array_equal(t1.final_item, t2.final_item)
 
@@ -250,9 +252,9 @@ class TestForward:
     def test_bytes_match_list_keeping_forward(self, layers, dropout_p, with_view):
         hp = HyperParams(embed_dim=6, layers=layers, svd_rank=2, dropout_p=dropout_p, seed=3)
         state = init_model(self.ds, hp)
-        trace = forward(
-            state, self.a, svd=self.svd, hp=hp, mode="train", rng=np.random.default_rng(5), with_global_view=with_view
-        )
+        if not with_view:
+            hp = dataclasses.replace(hp, lambda1=0.0)
+        trace = forward(state, self.a, svd=self.svd, hp=hp, mode="train", rng=np.random.default_rng(5))
         want = forward_keeping_lists(state, self.a, self.svd, hp, "train", np.random.default_rng(5), with_view)
         assert trace.final_user.tobytes() == want["final_user"].tobytes()
         assert trace.final_item.tobytes() == want["final_item"].tobytes()
@@ -273,7 +275,7 @@ class TestForward:
         with pytest.raises(ValueError, match="hyperparameters"):
             forward(self.state, self.a, mode="train")
         with pytest.raises(ValueError, match="factorization"):
-            forward(self.state, self.a, hp=self.hp, mode="train", with_global_view=True)
+            forward(self.state, self.a, hp=self.hp, mode="train")
 
     def test_dimension_mismatch_rejected(self):
         other = pairs_matrix(2, 2, [0], [0])

@@ -9,7 +9,7 @@ from scipy.sparse import csr_array
 
 from svdgcl.errors import DataError
 from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
-from svdgcl.linalg import svd_propagate
+from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
 from svdgcl.losses import MAX_NEG_TRIES, TrainBatch
 from svdgcl.model import leaky_relu, spmm, spmm_t
 
@@ -352,3 +352,45 @@ def protocol_error_unindexed(num_users, num_items, train, validation, test):
             if bad.size:
                 return f"test {what} absent from train: {bad.tolist()}"
     return None
+
+
+def qr_orthonormalize(m):
+    """Frozen copy of the Gram-Schmidt orthonormalization approx_svd used
+    before it called LAPACK QR: modified Gram-Schmidt with a second pass
+    per column, dropping columns that become numerically dependent, so the
+    basis may be thinner than m."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    rows, cols = m.shape
+    if rows < cols:
+        raise ValueError(f"need rows >= cols, got {rows}x{cols}")
+    basis = []
+    for j in range(cols):
+        v = m[:, j].copy()
+        ref = np.linalg.norm(v)
+        for _ in range(2):
+            for q in basis:
+                v -= (q @ v) * q
+        norm = np.linalg.norm(v)
+        if norm <= max(ref, 1e-300) * 1e-12:
+            continue
+        basis.append(v / norm)
+    if not basis:
+        raise ValueError("all columns are numerically zero")
+    return np.column_stack(basis)
+
+
+def approx_svd_gram_schmidt(a, r, oversample=8, power_iters=4, seed=0):
+    """Frozen copy of linalg.approx_svd as it was on qr_orthonormalize: the
+    same sketch and power iterations, its rank cut only by the columns the
+    orthonormalization dropped."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+    q = qr_orthonormalize(a @ rng.standard_normal((a.shape[1], r + oversample)))
+    for _ in range(power_iters):
+        z = qr_orthonormalize(a.T @ q)
+        q = qr_orthonormalize(a @ z)
+    small = exact_svd_dense((a.T @ q).T)
+    keep = min(r, small.rank)
+    u, v = _fix_signs(q @ small.u_r[:, :keep], small.v_r[:, :keep])
+    return SvdFactors(u_r=u, s_r=small.s_r[:keep], v_r=v, rank=keep)
