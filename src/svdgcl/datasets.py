@@ -2,8 +2,9 @@
 
 The raw u.data file is tab-separated ``user item rating timestamp``; every
 rating counts as an implicit interaction here. prepare_movielens_100k
-turns it into the pair-file layout the rest of the package ingests, with
-a seeded per-user 80/10/10 split.
+reads it with the pair-file reader (fields past the second are ignored,
+``#`` lines skipped, a repeated pair kept once) and writes the pair files
+the rest of the package ingests, with a seeded per-user 80/10/10 split.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError
+from .interactions import _read_pairs, _write_pairs
 
 ML100K_URL = "https://files.grouplens.org/datasets/movielens/ml-100k.zip"
 ML100K_ENV_VAR = "SVDGCL_ML100K"
@@ -51,8 +53,11 @@ def fetch_movielens_100k(dest_dir) -> Path:
             f"could not download {ML100K_URL}: {exc}; fetch it manually and point "
             f"{ML100K_ENV_VAR} at the extracted u.data"
         ) from exc
-    with zipfile.ZipFile(archive) as zf:
-        zf.extract("ml-100k/u.data", dest_dir)
+    try:
+        with zipfile.ZipFile(archive) as zf:
+            zf.extract("ml-100k/u.data", dest_dir)
+    except (zipfile.BadZipFile, KeyError) as exc:
+        raise DataError(f"{archive} is not the MovieLens-100K archive: {exc}") from exc
     return dest_dir / "ml-100k" / "u.data"
 
 
@@ -66,19 +71,13 @@ def prepare_movielens_100k(u_data_path, out_dir, seed: int = 42, ratios=(0.8, 0.
     """
     if len(ratios) != 3 or min(ratios) < 0 or sum(ratios) > 1.0 + 1e-9 or ratios[0] <= 0:
         raise ConfigError(f"bad split ratios {ratios}")
-    u_data_path = Path(u_data_path)
-    try:
-        text = u_data_path.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read ratings file {u_data_path}: {exc}") from exc
+    user_map: dict[str, int] = {}
+    item_map: dict[str, int] = {}
+    rows = _read_pairs(u_data_path, user_map, item_map)
+    users, items = list(user_map), list(item_map)
     by_user: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        fields = raw.split()
-        if len(fields) < 2:
-            raise ParseError(f"{u_data_path}:{lineno}: expected at least 'user item', got {raw!r}")
-        by_user.setdefault(fields[0], []).append(fields[1])
+    for u, i in rows.tolist():
+        by_user.setdefault(users[u], []).append(items[i])
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, PREP_STREAM])))
     train: list[tuple[str, str]] = []
@@ -116,13 +115,7 @@ def prepare_movielens_100k(u_data_path, out_dir, seed: int = 42, ratios=(0.8, 0.
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "train": out_dir / "train.txt",
-        "val": out_dir / "val.txt",
-        "test": out_dir / "test.txt",
-    }
-    for name, pairs in (("train", train), ("val", val), ("test", test)):
-        with open(paths[name], "w") as fh:
-            for user, item in pairs:
-                fh.write(f"{user}\t{item}\n")
+    paths = {name: out_dir / f"{name}.txt" for name in ("train", "val", "test")}
+    for path, pairs in zip(paths.values(), (train, val, test)):
+        _write_pairs(path, pairs)
     return paths

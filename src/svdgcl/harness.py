@@ -73,10 +73,10 @@ class RunConfig(HyperParams):
         values: dict = {}
         if json_path is not None:
             try:
-                raw = json.loads(Path(json_path).read_text())
+                raw = json.loads(Path(json_path).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise ConfigError(f"cannot read config {json_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config {json_path} is not valid JSON: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {json_path} must hold a JSON object")

@@ -1,9 +1,12 @@
 """Interaction file ingestion and user-item graph construction.
 
 Pair files are whitespace-separated ``user item`` lines; blank lines and
-``#`` comments are skipped, fields past the second are ignored. Ids are
-opaque strings and get dense indices in order of first appearance, train
-file first, then validation, then test.
+``#`` comments are skipped, fields past the second are ignored, and a
+repeated line collapses to its first occurrence. Ids are opaque strings
+and get dense indices in order of first appearance, train file first, then
+validation, then test. A file that is not UTF-8 text is a DataError. Every
+pair file the package reads or writes goes through _read_pairs and
+_write_pairs.
 """
 from __future__ import annotations
 
@@ -121,34 +124,33 @@ class InteractionDataset:
         return [items[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
-def _read_pair_lines(path) -> list[tuple[str, str]]:
+def _read_pairs(path, user_map: dict[str, int], item_map: dict[str, int]) -> np.ndarray:
+    """One pair file as (n, 2) int64 index rows, in file order.
+
+    Each id gets its index from the maps, or the next free one, as its line
+    is read. Duplicate lines collapse to their first occurrence.
+    """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read interaction file {path}: {exc}") from exc
-    pairs: list[tuple[str, str]] = []
+    flat: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split(None, 2)
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) < 2:
             raise ParseError(f"{path}:{lineno}: expected 'user item', got {raw!r}")
-        pairs.append((fields[0], fields[1]))
-    # duplicates within one file collapse to the first occurrence
-    return list(dict.fromkeys(pairs))
+        flat += (user_map.setdefault(fields[0], len(user_map)), item_map.setdefault(fields[1], len(item_map)))
+    rows = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    first = np.unique(rows[:, 0] * len(item_map) + rows[:, 1], return_index=True)[1]
+    return rows[np.sort(first)]
 
 
-def _index_pairs(pairs, user_map: dict[str, int], item_map: dict[str, int]) -> np.ndarray:
-    out = np.empty((len(pairs), 2), dtype=np.int64)
-    for k, (u, i) in enumerate(pairs):
-        if u not in user_map:
-            user_map[u] = len(user_map)
-        if i not in item_map:
-            item_map[i] = len(item_map)
-        out[k, 0] = user_map[u]
-        out[k, 1] = item_map[i]
-    return out
+def _write_pairs(path, pairs):
+    """Write (user id, item id) pairs as tab-separated lines, streaming."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{u}\t{i}\n" for u, i in pairs)
 
 
 def _holdout_validation(train: np.ndarray, test: np.ndarray, fraction: float, seed: int):
@@ -189,12 +191,9 @@ def load_interactions(train_path, test_path, val_path=None, val_fraction: float 
     """
     user_map: dict[str, int] = {}
     item_map: dict[str, int] = {}
-    train = _index_pairs(_read_pair_lines(train_path), user_map, item_map)
-    if val_path is not None:
-        val = _index_pairs(_read_pair_lines(val_path), user_map, item_map)
-    else:
-        val = None
-    test = _index_pairs(_read_pair_lines(test_path), user_map, item_map)
+    train = _read_pairs(train_path, user_map, item_map)
+    val = None if val_path is None else _read_pairs(val_path, user_map, item_map)
+    test = _read_pairs(test_path, user_map, item_map)
     if val is None:
         train, val = _holdout_validation(train, test, val_fraction, seed)
     ds = InteractionDataset(
@@ -218,9 +217,7 @@ def write_pair_files(ds: InteractionDataset, train_path, test_path, val_path=Non
     if val_path is not None:
         targets.append((val_path, ds.validation))
     for path, arr in targets:
-        with open(path, "w") as fh:
-            for u, i in arr:
-                fh.write(f"{users[int(u)]}\t{items[int(i)]}\n")
+        _write_pairs(path, ((users[int(u)], items[int(i)]) for u, i in arr))
 
 
 def build_adjacency(ds: InteractionDataset) -> csr_array:

@@ -8,7 +8,9 @@ window edges (edge items are inherently ambiguous against the items just
 outside, which would measure boundary resolution rather than structure
 recovery; ring symmetry keeps item popularity uniform either way).
 Optional cross-block noise edges blur the community structure. With
-noise_p = 0 the adjacency is exactly block-diagonal.
+noise_p = 0 the adjacency is exactly block-diagonal. Users and items are
+written as their integer indices, through the package's one pair-file
+writer.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .interactions import _write_pairs
 
 TRAIN_WINDOW = 0.7
 HOLDOUT_MARGIN = 3
@@ -47,9 +50,9 @@ def generate_blocks(
     window = int(round(TRAIN_WINDOW * items_per_block))
     window = max(1, min(window, items_per_block))
 
-    train_lines: list[str] = []
-    val_lines: list[str] = []
-    test_lines: list[str] = []
+    train: list[tuple[int, int]] = []
+    val: list[tuple[int, int]] = []
+    test: list[tuple[int, int]] = []
     for b in range(blocks):
         base = b * items_per_block
         others = np.concatenate(
@@ -69,21 +72,11 @@ def generate_blocks(
                 held = [int(ring[p]) for p in picks]
             keep = [int(i) for i in ring if int(i) not in held]
             noise = others[rng.random(others.shape[0]) < noise_p] if others.size else others
-            for item in keep:
-                train_lines.append(f"{uid}\t{item}\n")
-            for item in noise:
-                train_lines.append(f"{uid}\t{int(item)}\n")
-            if held:
-                test_lines.append(f"{uid}\t{held[0]}\n")
-            if len(held) > 1:
-                val_lines.append(f"{uid}\t{held[1]}\n")
+            train += [(uid, item) for item in keep + noise.tolist()]
+            test += [(uid, item) for item in held[:1]]
+            val += [(uid, item) for item in held[1:2]]
 
-    paths = {
-        "train": out_dir / "train.txt",
-        "val": out_dir / "val.txt",
-        "test": out_dir / "test.txt",
-    }
-    paths["train"].write_text("".join(train_lines))
-    paths["val"].write_text("".join(val_lines))
-    paths["test"].write_text("".join(test_lines))
+    paths = {name: out_dir / f"{name}.txt" for name in ("train", "val", "test")}
+    for path, pairs in zip(paths.values(), (train, val, test)):
+        _write_pairs(path, pairs)
     return paths

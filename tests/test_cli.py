@@ -214,18 +214,20 @@ class TestConfigErrorsInAFreshProcess:
             (["train", "--config", '{"batch_size": NaN}'], "batch_size must be an integer"),
             (["train", "--config", '{"layers": "two"}'], "bad value for layers"),
             (["train", "--config", '{"epochs": true}'], "epochs must be an integer"),
+            # "\udcff" is written as the lone byte 0xff: the file is not UTF-8
+            (["train", "--config", '{"seed": "\udcff"}'], "is not valid JSON"),
         ],
         ids=[
             "train-seed", "train-nan-rate", "train-inf-temperature", "train-huge-lambda1", "synth-seed", "train-rank",
             "svd-report-rank",
-            "json-float-dim", "json-nan-batch", "json-junk-layers", "json-bool-epochs",
+            "json-float-dim", "json-nan-batch", "json-junk-layers", "json-bool-epochs", "json-not-utf8",
         ],
     )
     def test_exits_one_with_an_error_line(self, data, tmp_path, argv, message):
         if "--config" in argv:
             # the argument after --config is the file's JSON text
             at = argv.index("--config") + 1
-            (tmp_path / "c.json").write_text(argv[at])
+            (tmp_path / "c.json").write_bytes(argv[at].encode("utf-8", "surrogateescape"))
             argv = argv[:at] + [str(tmp_path / "c.json")] + argv[at + 1 :]
         argv = [a.format(d=tmp_path) for a in argv]
         if argv[0] != "synth":
@@ -243,4 +245,17 @@ class TestConfigErrorsInAFreshProcess:
         assert done.returncode == 1, done.stderr[-2000:]
         assert done.stderr.startswith("error:")
         assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+class TestDataErrorsInAFreshProcess:
+    def test_undecodable_pair_file_exits_two(self, tmp_path):
+        (tmp_path / "train.txt").write_bytes(b"u1\ti1\nu\xff\ti2\n")
+        (tmp_path / "test.txt").write_text("u1\ti1\n")
+        argv = ["train", "--train-path", "train.txt", "--test-path", "test.txt", "--epochs", "1"]
+        done = subprocess.run(
+            [sys.executable, "-m", "svdgcl"] + argv, cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 2, done.stderr[-2000:]
+        assert done.stderr.startswith("error: cannot read interaction file train.txt")
         assert "Traceback" not in done.stderr

@@ -1,11 +1,28 @@
 """Ratings-file conversion and dataset discovery (no network involved)."""
 
+import hashlib
+import io
+import urllib.request
+import zipfile
+
 import numpy as np
 import pytest
 
-from svdgcl.datasets import locate_movielens_100k, prepare_movielens_100k
+from svdgcl.datasets import fetch_movielens_100k, locate_movielens_100k, prepare_movielens_100k
 from svdgcl.errors import ConfigError, DataError, ParseError
-from svdgcl.interactions import load_interactions
+from svdgcl.interactions import load_interactions, write_pair_files
+
+# sha256s of the split files prepare_movielens_100k wrote for fake_ratings
+# (seed 0) with seed 0 before it shared the package's pair reader and writer
+PINNED_SPLITS = {
+    "train": "a8389d1ca6605b2669db886401c3aec430da01c71f056f36171c612a764d8599",
+    "val": "64c1a47045e336a58849f585177ab4b4e4f0f74a82003aa0d66494046183bb86",
+    "test": "db6b779f2b3d9d66f834c27df4fc0798ad91d68fc6344b21e060aa23077e411d",
+}
+
+
+def sha256s(paths):
+    return {split: hashlib.sha256(path.read_bytes()).hexdigest() for split, path in paths.items()}
 
 
 def fake_ratings(tmp_path, n_users=12, n_items=15, per_user=10, seed=0):
@@ -71,6 +88,60 @@ class TestPrepare:
     def test_missing_source_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
             prepare_movielens_100k(tmp_path / "ghost.data", tmp_path / "out")
+
+    def test_undecodable_source_is_a_data_error(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_bytes(b"1\t2\t3\t4\n\xff\t2\t3\t4\n")
+        with pytest.raises(DataError, match=r"u\.data"):
+            prepare_movielens_100k(path, tmp_path / "out")
+
+    def test_comments_skipped_and_repeats_collapse(self, tmp_path):
+        src = fake_ratings(tmp_path)
+        plain = prepare_movielens_100k(src, tmp_path / "plain", seed=0)
+        lines = src.read_text().splitlines(keepends=True)
+        src.write_text("# user item rating timestamp\n" + "".join(lines[:3]) + lines[1] + "".join(lines[3:]))
+        noisy = prepare_movielens_100k(src, tmp_path / "noisy", seed=0)
+        assert sha256s(noisy) == sha256s(plain)
+
+    def test_split_bytes_pinned(self, tmp_path):
+        out = prepare_movielens_100k(fake_ratings(tmp_path, seed=0), tmp_path / "out", seed=0)
+        assert sha256s(out) == PINNED_SPLITS
+
+    def test_written_back_splits_pinned(self, tmp_path):
+        out = prepare_movielens_100k(fake_ratings(tmp_path, seed=0), tmp_path / "out", seed=0)
+        ds = load_interactions(out["train"], out["test"], out["val"])
+        back = {split: tmp_path / f"back_{split}.txt" for split in ("train", "val", "test")}
+        write_pair_files(ds, back["train"], back["test"], back["val"])
+        assert sha256s(back) == PINNED_SPLITS
+
+
+class TestFetch:
+    """The download is replaced by an in-memory response; no network."""
+
+    def serve(self, monkeypatch, body):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(body))
+
+    def test_download_that_is_not_a_zip_is_a_data_error(self, tmp_path, monkeypatch):
+        self.serve(monkeypatch, b"not a zip")
+        with pytest.raises(DataError, match="not the MovieLens-100K archive"):
+            fetch_movielens_100k(tmp_path)
+
+    def test_archive_without_ratings_is_a_data_error(self, tmp_path, monkeypatch):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr("ml-100k/README", "no ratings here")
+        self.serve(monkeypatch, buf.getvalue())
+        with pytest.raises(DataError, match="not the MovieLens-100K archive"):
+            fetch_movielens_100k(tmp_path)
+
+    def test_archive_with_ratings_unpacks(self, tmp_path, monkeypatch):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr("ml-100k/u.data", "1\t2\t3\t4\n")
+        self.serve(monkeypatch, buf.getvalue())
+        path = fetch_movielens_100k(tmp_path)
+        assert path == tmp_path / "ml-100k" / "u.data"
+        assert path.read_text() == "1\t2\t3\t4\n"
 
 
 class TestLocate:

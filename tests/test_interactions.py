@@ -11,12 +11,13 @@ from svdgcl.errors import DataError, ParseError, ProtocolError
 from svdgcl.interactions import (
     InteractionDataset,
     _holdout_validation,
+    _read_pairs,
     build_adjacency,
     load_interactions,
     normalize_adjacency,
     write_pair_files,
 )
-from tests.util import holdout_validation_user_scan
+from tests.util import holdout_validation_user_scan, index_pairs, read_pair_lines
 
 
 def write(path, text):
@@ -57,6 +58,13 @@ class TestParsing:
         train = write(tmp_path / "train.txt", "u1 i1\nlonely\n")
         test = write(tmp_path / "test.txt", "u1 i1\n")
         with pytest.raises(ParseError, match=r"train\.txt:2"):
+            load_interactions(train, test)
+
+    def test_undecodable_file_is_a_data_error(self, tmp_path):
+        train = tmp_path / "train.txt"
+        train.write_bytes(b"u1 i1\nu\xff i2\n")
+        test = write(tmp_path / "test.txt", "u1 i1\n")
+        with pytest.raises(DataError, match=r"cannot read interaction file .*train\.txt"):
             load_interactions(train, test)
 
     def test_missing_file_is_a_data_error(self, tmp_path):
@@ -301,6 +309,40 @@ class TestRoundTripProperty:
         for split in ("train", "validation", "test"):
             np.testing.assert_array_equal(getattr(again, split), getattr(ds, split))
         assert [(first / n).read_bytes() for n in names] == [(second / n).read_bytes() for n in names]
+
+
+# a line with one field, possibly a comment: "#x" is skipped, "x" is a ParseError
+_TOKEN_LINE = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "#"]), _ID).map("".join)
+
+
+class TestReaderMatchesTheTwoPassOracle:
+    @given(
+        _pair_file_texts(),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40), _TOKEN_LINE), max_size=2),
+    )
+    def test_same_rows_id_order_and_parse_errors(self, pair_dir, texts, token_lines):
+        """_read_pairs against the frozen read-then-index reader, file by
+        file over shared id maps: equal rows, equal map order, and the same
+        ParseError (text and line number) where the oracle raises one."""
+        files = [text.splitlines() for text in texts]
+        for which, at, line in token_lines:
+            files[which].insert(min(at, len(files[which])), line)
+        new_maps, old_maps = ({}, {}), ({}, {})
+        for name, lines in zip(("train.txt", "val.txt", "test.txt"), files):
+            path = pair_dir / f"oracle_{name}"
+            path.write_text("".join(line + "\n" for line in lines))
+            try:
+                want = index_pairs(read_pair_lines(path), *old_maps)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    _read_pairs(path, *new_maps)
+                assert str(got.value) == str(exc)
+                return
+            got = _read_pairs(path, *new_maps)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            for new, old in zip(new_maps, old_maps):
+                assert list(new.items()) == list(old.items())
 
 
 class TestGraph:

@@ -1,5 +1,7 @@
 """Block-community generator: structure, determinism, and edge cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,15 @@ class TestDeterminism:
             b1 = open(p1[split], "rb").read()
             assert b1 == open(p2[split], "rb").read()
         assert open(p1["train"], "rb").read() != open(p3["train"], "rb").read()
+
+    def test_bytes_pinned(self, tmp_path):
+        # sha256s written by the generator before it shared the package's pair writer
+        paths = generate_blocks(tmp_path / "d", 9, 11, 2, 0.1, 21)
+        assert {split: hashlib.sha256(paths[split].read_bytes()).hexdigest() for split in paths} == {
+            "train": "c012a0b7d6508608652d8c50d03d5fab484ffbc23b1294a7b998f77949ea7bc4",
+            "val": "5c8d631ec56e715daa8c4d6ca7dfd1e9af31a739f402a003ba70fe2e60cdab65",
+            "test": "68224d6cf817db5b9204baaac1e44e89c575a3d01975c55b69f78d95c94b2d12",
+        }
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csr_array
 
-from svdgcl.errors import DataError
+from svdgcl.errors import DataError, ParseError
 from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
 from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
 from svdgcl.losses import MAX_NEG_TRIES, TrainBatch
@@ -314,6 +314,40 @@ def holdout_validation_user_scan(train, test, fraction, seed):
             moved[pos] = False
             remaining[item] += 1
     return train[~moved], train[moved]
+
+
+def read_pair_lines(path) -> list[tuple[str, str]]:
+    """Frozen copy of the two-pass pair-file reader's first pass: every
+    line's (user, item) strings, then dict.fromkeys to drop repeats."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read interaction file {path}: {exc}") from exc
+    pairs: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) < 2:
+            raise ParseError(f"{path}:{lineno}: expected 'user item', got {raw!r}")
+        pairs.append((fields[0], fields[1]))
+    # duplicates within one file collapse to the first occurrence
+    return list(dict.fromkeys(pairs))
+
+
+def index_pairs(pairs, user_map: dict[str, int], item_map: dict[str, int]) -> np.ndarray:
+    """Frozen copy of the two-pass reader's second pass: a dict lookup per
+    pair, giving new ids the next free index."""
+    out = np.empty((len(pairs), 2), dtype=np.int64)
+    for k, (u, i) in enumerate(pairs):
+        if u not in user_map:
+            user_map[u] = len(user_map)
+        if i not in item_map:
+            item_map[i] = len(item_map)
+        out[k, 0] = user_map[u]
+        out[k, 1] = item_map[i]
+    return out
 
 
 def protocol_error_unindexed(num_users, num_items, train, validation, test):
