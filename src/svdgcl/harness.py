@@ -165,15 +165,16 @@ class TrainResult:
 
 def _fix_malloc_thresholds() -> bool:
     """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
-    so that the peak memory of a run repeats. Left to slide, the mmap
-    threshold follows the buffers freed, and identical S runs peaked at
-    about 138 or about 148 MB. Returns whether glibc took both values."""
+    and keep one arena, so that the peak memory of a run repeats. A sliding
+    mmap threshold put identical S runs at about 138 or 148 MB; a second arena
+    for spmm_pair's worker thread put them at about 118 MB, not 116. Returns
+    whether glibc took all three values."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
     if mallopt is None:
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
-    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and M_ARENA_MAX -8 in glibc's malloc.h
+    return all(mallopt(option, value) == 1 for option, value in ((-3, 32 << 20), (-1, 64 << 20), (-8, 1)))
 
 
 def _load_graph(config: RunConfig):

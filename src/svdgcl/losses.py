@@ -28,7 +28,8 @@ from scipy.special import expit
 
 from .errors import DataError
 from .linalg import svd_propagate
-from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, spmm, spmm_t
+# spmm and spmm_t stay bound here for bench/run.py, which traces them by module
+from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, spmm, spmm_pair, spmm_t
 
 logger = logging.getLogger("svdgcl.objective")
 
@@ -309,9 +310,8 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
             dpre_g[s][mem] = grads[t][1] * weight * leaky_relu_grad(pre_g[s][t][mem])
         dpre_zu = dz[0] * leaky_relu_grad(trace.pre_z_user[t])
         dpre_zv = dz[1] * leaky_relu_grad(trace.pre_z_item[t])
-        dropped = trace.dropped_adj[t]
-        next_gu = gu + gfu + spmm(dropped, dpre_zv)
-        next_gv = gv + gfv + spmm_t(dropped, dpre_zu)
+        down_u, down_v = spmm_pair(trace.dropped_adj[t], dpre_zv, dpre_zu)
+        next_gu, next_gv = gu + gfu + down_u, gv + gfv + down_v
         if dpre_g[0] is not None:
             next_gv += svd_propagate(trace.svd_factors, dpre_g[0], "item")
         if dpre_g[1] is not None:

@@ -9,9 +9,11 @@ them, so rankings depend on the main branch only.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -187,6 +189,29 @@ def spmm_t(a: csr_array, b: np.ndarray) -> np.ndarray:
     return a.T @ b
 
 
+@functools.cache
+def _pair_worker() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="svdgcl-spmm")
+
+
+os.register_at_fork(after_in_child=_pair_worker.cache_clear)  # a forked child has no worker thread
+
+
+def spmm_pair(a: csr_array, b_cols: np.ndarray, b_rows: np.ndarray):
+    """(spmm(a, b_cols), spmm_t(a, b_rows)), the second on one worker thread.
+
+    scipy's sparse kernels release the GIL, so on two cores the two overlap,
+    with the serial calls' bytes. The worker calls no module-level name, so a
+    tracer of spmm and spmm_t sees only the main thread's product. Returns or
+    raises once both have finished; spmm's error wins."""
+    job = _pair_worker().submit(lambda: a.T @ b_rows)
+    try:
+        out = spmm(a, b_cols)
+    finally:
+        job.exception()  # waits for the worker's product without raising
+    return out, job.result()
+
+
 def edge_dropout(a: csr_array, p: float, rng: np.random.Generator):
     """Drop each stored edge with probability p, scaling survivors by 1/(1-p).
 
@@ -245,8 +270,7 @@ def forward(
     for _ in range(state.layers):
         dropped = edge_dropout(a_norm, p, draw)[0] if p > 0 else a_norm
         trace.dropped_adj.append(dropped)
-        pre_zu = spmm(dropped, hv)
-        pre_zv = spmm_t(dropped, hu)
+        pre_zu, pre_zv = spmm_pair(dropped, hv, hu)
         trace.pre_z_user.append(pre_zu)
         trace.pre_z_item.append(pre_zv)
         if with_global_view:

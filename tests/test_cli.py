@@ -11,6 +11,7 @@ import pytest
 
 from svdgcl import cli
 from svdgcl.errors import NumericalError
+from svdgcl.synth import generate_blocks
 from tests.util import src_env, svdgcl_logger_state
 
 
@@ -259,3 +260,22 @@ class TestDataErrorsInAFreshProcess:
         assert done.returncode == 2, done.stderr[-2000:]
         assert done.stderr.startswith("error: cannot read interaction file train.txt")
         assert "Traceback" not in done.stderr
+
+
+class TestPairWorkerInAFreshProcess:
+    def test_import_starts_no_thread(self):
+        code = "import threading; n = threading.active_count(); import svdgcl; print(threading.active_count() - n)"
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.strip() == "0"
+
+    def test_train_exits_with_the_worker_started(self, tmp_path):
+        # spmm_pair's worker is idle once training ends; it must not hold up exit
+        paths = generate_blocks(tmp_path / "d", 8, 8, 2, 0.0, 1)
+        argv = ["train", "--epochs", "2", "--embed-dim", "8", "--eval-ks", "3", "--checkpoint-dir", "ck"]
+        argv += ["--train-path", str(paths["train"]), "--test-path", str(paths["test"]), "--val-path", str(paths["val"])]
+        done = subprocess.run(
+            [sys.executable, "-m", "svdgcl"] + argv, cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert "epoch=2 rec=" in done.stdout

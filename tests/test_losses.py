@@ -30,7 +30,14 @@ from svdgcl.losses import (
     total_loss,
 )
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model, leaky_relu
-from tests.util import infonce_layer_one_buffer, infonce_layer_unfused, sample_batch_full_scan, tiny_dataset
+from tests.util import (
+    forward_keeping_lists,
+    infonce_layer_one_buffer,
+    infonce_layer_unfused,
+    sample_batch_full_scan,
+    spmm_pair_serial,
+    tiny_dataset,
+)
 
 
 def nce_oracle(z_layers, g_layers, members, tau):
@@ -493,6 +500,27 @@ class TestObjective:
         assert report == total_loss(trace, batch, state, hp)
         assert gu.shape == state.e_user.shape
         assert gi.shape == state.e_item.shape
+
+
+class TestPairedProductsKeepTheBytes:
+    @pytest.mark.parametrize("lambda1", [0.0, 0.3])
+    def test_forward_and_grads_match_serial_products(self, lambda1, monkeypatch):
+        # big enough for the worker's product to overlap the main thread's
+        ds = tiny_dataset(num_users=1500, num_items=1200)
+        a = normalize_adjacency(build_adjacency(ds))
+        hp = HyperParams(embed_dim=32, layers=3, svd_rank=3, dropout_p=0.25, lambda1=lambda1, seed=4)
+        state = init_model(ds, hp)
+        svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=4) if lambda1 > 0 else None
+        batch = sample_batch(ds, 512, np.random.default_rng(4))
+        trace = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(5))
+        want = forward_keeping_lists(state, a, svd, hp, "train", np.random.default_rng(5), lambda1 > 0)
+        assert trace.final_user.tobytes() == want["final_user"].tobytes()
+        assert trace.final_item.tobytes() == want["final_item"].tobytes()
+        report, gu, gv = loss_and_grads(trace, batch, state, hp)
+        monkeypatch.setattr(losses, "spmm_pair", spmm_pair_serial)
+        want_report, want_gu, want_gv = loss_and_grads(trace, batch, state, hp)
+        assert report == want_report
+        assert gu.tobytes() == want_gu.tobytes() and gv.tobytes() == want_gv.tobytes()
 
 
 def fd_check(cl_scope, dropout_p, lambda1, layers, seed, tol=1e-6):

@@ -7,6 +7,9 @@ traced version shows up as a mismatch.
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from svdgcl.model import (
     leaky_relu_grad,
     predict_scores,
 )
-from tests.util import forward_keeping_lists, tiny_dataset
+from tests.util import forward_keeping_lists, src_env, tiny_dataset
 
 
 def slope(x):
@@ -281,6 +284,43 @@ class TestForward:
         other = pairs_matrix(2, 2, [0], [0])
         with pytest.raises(ValueError):
             forward(self.state, other)
+
+
+# a forward starts spmm_pair's worker thread; a child forked after it must
+# still run a forward, where a stale worker would leave its submit hanging
+FORK_AFTER_FORWARD = """
+import multiprocessing, threading
+from types import SimpleNamespace
+from scipy.sparse import csr_array, random as sparse_random
+from svdgcl.model import HyperParams, forward, init_model
+
+a = csr_array(sparse_random(30, 20, density=0.2, random_state=0))
+state = init_model(SimpleNamespace(num_users=30, num_items=20), HyperParams(embed_dim=4))
+want = forward(state, a).final_user.tobytes()
+if threading.active_count() != 2:
+    raise SystemExit(f"expected the worker thread, found {threading.active_count()} threads")
+
+def child():
+    raise SystemExit(0 if forward(state, a).final_user.tobytes() == want else 4)
+
+p = multiprocessing.get_context("fork").Process(target=child)
+p.start()
+p.join(20)
+if p.is_alive():
+    p.kill()
+    p.join()
+    raise SystemExit("the forked child's forward hung")
+raise SystemExit(p.exitcode)
+"""
+
+
+class TestForkedChild:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forward_runs_in_a_child_forked_after_a_forward(self):
+        done = subprocess.run(
+            [sys.executable, "-c", FORK_AFTER_FORWARD], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestPredictScores:

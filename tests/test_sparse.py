@@ -7,12 +7,15 @@ with naive Python loops, so they share no code path with the kernels
 under test.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
 from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
-from svdgcl.model import edge_dropout, spmm, spmm_t
+from svdgcl.model import edge_dropout, spmm, spmm_pair, spmm_t
 
 
 def dense_by_loops(a):
@@ -191,3 +194,86 @@ class TestMultiplication:
         for out in (spmm(a, np.eye(2)), spmm_t(a, np.eye(2))):
             assert type(out) is np.ndarray
             np.testing.assert_array_equal(out, np.diag([2.0, 3.0]))
+
+
+class SlowTransposedProduct(csr_array):
+    """A csr_array whose a.T @ b sleeps first and sets the event done when
+    it has ended, returned or raised."""
+
+    done: threading.Event
+
+    @property
+    def T(self):
+        plain, done = csr_array(self), self.done
+
+        class Slow:
+            def __matmul__(self, b):
+                time.sleep(0.3)
+                try:
+                    return plain.T @ b
+                finally:
+                    done.set()
+
+        return Slow()
+
+
+def slow_transposed(a):
+    slow = SlowTransposedProduct(a)
+    slow.done = threading.Event()
+    return slow
+
+
+class TestPair:
+    def matrices(self):
+        rng = np.random.default_rng(31)
+        for _ in range(15):
+            rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            yield random_sparse(rng, rows, cols, int(rng.integers(0, rows * cols + 1)))
+        # explicit zeros, as edge dropout stores them
+        yield edge_dropout(normalize_adjacency(random_sparse(rng, 40, 30, 300)), 0.4, rng)[0]
+        # no edges on the even rows, then none in the even columns
+        yield build_adjacency(dataset(9, 7, [[u, (u + 1) % 7] for u in range(1, 9, 2)]))
+        yield build_adjacency(dataset(6, 10, [[u, 2 * (u % 5) + 1] for u in range(6)]))
+        # large enough for the two products to overlap in time
+        yield normalize_adjacency(random_sparse(rng, 3000, 2000, 60000))
+
+    def test_same_bytes_as_the_single_products(self):
+        rng = np.random.default_rng(37)
+        for a in self.matrices():
+            d = int(rng.integers(1, 65))
+            b_cols, b_rows = rng.standard_normal((a.shape[1], d)), rng.standard_normal((a.shape[0], d))
+            left, right = spmm_pair(a, b_cols, b_rows)
+            for got, want in ((left, spmm(a, b_cols)), (right, spmm_t(a, b_rows))):
+                assert type(got) is np.ndarray
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_shape_errors_are_those_of_the_single_products(self):
+        a = build_adjacency(dataset(3, 4, [[0, 1], [2, 3]]))
+        rows, cols = np.zeros((3, 2)), np.zeros((4, 2))
+        with pytest.raises(ValueError) as main_side:
+            spmm(a, rows)
+        with pytest.raises(ValueError) as worker_side:
+            spmm_t(a, cols)
+        for b_cols, b_rows, want in ((rows, rows, main_side), (cols, cols, worker_side), (rows, cols, main_side)):
+            with pytest.raises(ValueError) as got:
+                spmm_pair(a, b_cols, b_rows)
+            assert str(got.value) == str(want.value)
+
+    def test_returns_only_once_the_worker_is_done(self):
+        a = slow_transposed(build_adjacency(dataset(3, 4, [[0, 1], [2, 3]])))
+        b_cols, b_rows = np.ones((4, 2)), np.ones((3, 2))
+        left, right = spmm_pair(a, b_cols, b_rows)
+        assert a.done.is_set()
+        assert right.tobytes() == spmm_t(csr_array(a), b_rows).tobytes()
+
+    def test_raises_only_once_the_worker_is_done(self):
+        a = slow_transposed(build_adjacency(dataset(3, 4, [[0, 1], [2, 3]])))
+        with pytest.raises(ValueError):
+            spmm_pair(a, np.ones((3, 2)), np.ones((3, 2)))
+        assert a.done.is_set()
+        # and a failing worker product raises from the call
+        a = slow_transposed(a)
+        with pytest.raises(ValueError):
+            spmm_pair(a, np.ones((4, 2)), np.ones((4, 2)))
+        assert a.done.is_set()

@@ -259,6 +259,12 @@ def sample_batch_full_scan(ds, batch_size, rng):
     return TrainBatch(users=users, pos_items=pos, neg_items=neg)
 
 
+def spmm_pair_serial(a, b_cols, b_rows):
+    """model.spmm_pair as the two calls it replaced, one after the other on
+    the calling thread: spmm, then spmm_t."""
+    return spmm(a, b_cols), spmm_t(a, b_rows)
+
+
 def forward_keeping_lists(state, a_norm, svd, hp, mode, rng, with_global_view):
     """Frozen copy of the forward pass that kept every running state h, layer
     output z and view output g in lists and summed the h list at the end
