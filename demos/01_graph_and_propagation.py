@@ -13,7 +13,7 @@ from svdgcl.interactions import (
     build_adjacency,
     normalize_adjacency,
 )
-from svdgcl.model import HyperParams, forward, init_model, predict_scores
+from svdgcl.model import HyperParams, forward, init_model
 
 print("== a seven-user, six-item toy world ==")
 train = []
@@ -54,7 +54,7 @@ print("final_user shape:", trace.final_user.shape)
 
 print()
 print("== scores are plain dot products ==")
-scores = predict_scores(trace, [0])
-order = np.argsort(-scores[0])
+scores = trace.final_user[0] @ trace.final_item.T
+order = np.argsort(-scores)
 print("user0 item ranking:", order.tolist())
 print("user0 trained on items", sorted(i for u, i in train if u == 0))

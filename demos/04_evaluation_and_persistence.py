@@ -18,7 +18,7 @@ from svdgcl.checkpoint import load_checkpoint
 from svdgcl.harness import RunConfig, run_eval, run_training
 from svdgcl.interactions import build_adjacency, load_interactions, normalize_adjacency
 from svdgcl.metrics import evaluate
-from svdgcl.model import forward, predict_scores
+from svdgcl.model import forward
 from svdgcl.synth import generate_blocks
 
 work = Path(tempfile.mkdtemp(prefix="svdgcl_demo_"))
@@ -62,11 +62,17 @@ try:
     print("== one user, by hand ==")
     trace = forward(ck.state, a)
     u = 0
-    scores = predict_scores(trace, [u])[0]
+    scores = trace.final_user[u] @ trace.final_item.T
+
+    def items_of(split):
+        # a split's pair keys are user * num_items + item, ascending, with per-user offsets
+        keys, offsets = ds.pair_index(split)
+        return keys[offsets[u] : offsets[u + 1]] % ds.num_items
+
     # train items never rank; a stable sort breaks ties toward the lower index
-    scores[ds.items_by_user("train")[u]] = -np.inf
+    scores[items_of("train")] = -np.inf
     top = np.argsort(-scores, kind="stable")[:5]
-    relevant = set(ds.items_by_user("test")[u].tolist())
+    relevant = set(items_of("test").tolist())
     print(f"user {u} holds out {sorted(relevant)}; top-5 after masking: {top.tolist()}")
     hits = [p for p, item in enumerate(top.tolist()) if item in relevant]
     ideal = sum(1.0 / math.log2(p + 2) for p in range(min(5, len(relevant))))

@@ -27,11 +27,9 @@ from .losses import (
     LossReport,
     TrainBatch,
     bpr_loss,
-    infonce_loss,
     l2_reg,
     loss_and_grads,
     sample_batch,
-    total_loss,
 )
 from .metrics import (
     EvalResult,
@@ -46,7 +44,6 @@ from .model import (
     forward,
     init_model,
     leaky_relu,
-    predict_scores,
     spmm,
     spmm_t,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "exact_svd_dense",
     "forward",
     "generate_blocks",
-    "infonce_loss",
     "init_model",
     "init_optimizer",
     "l2_reg",
@@ -92,7 +88,6 @@ __all__ = [
     "load_interactions",
     "loss_and_grads",
     "normalize_adjacency",
-    "predict_scores",
     "run_eval",
     "run_svd_report",
     "run_training",
@@ -101,6 +96,5 @@ __all__ = [
     "spmm",
     "spmm_t",
     "svd_propagate",
-    "total_loss",
     "write_pair_files",
 ]

@@ -1,13 +1,15 @@
 """Binary checkpoints: embedding tables, optimizer moments, RNG state.
 
-Layout, all little-endian: 4 magic bytes "LGCL", u32 format version,
-five u64 dims (users, items, embed_dim, layers, svd_rank), the six f64
-tables row-major (e_user, e_item, then first/second moments in the same
-order), u64 optimizer step, u64 word count plus that many u64 RNG words,
-and a length-prefixed UTF-8 config digest. Round-trips are bit-exact.
+Layout, all little-endian: 4 magic bytes "LGCL", u32 format version, five
+u64 dims (users, items, embed_dim, layers, svd_rank), the six f64 tables
+row-major (e_user, e_item, then first/second moments in the same order),
+u64 optimizer step, u64 word count plus that many u64 RNG words, and a
+length-prefixed UTF-8 config digest. Round-trips are bit-exact. A save
+renames an fsynced temp file over its target.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,17 +68,24 @@ def save_checkpoint(path, state: ModelState, opt: OptimizerState, svd_rank: int,
     digest_bytes = config_digest.encode("utf-8")
     m, k = state.e_user.shape
     n = state.e_item.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<5Q", m, n, k, state.layers, svd_rank))
-        for table in (state.e_user, state.e_item, opt.m_user, opt.v_user, opt.m_item, opt.v_item):
-            fh.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", opt.step))
-        fh.write(struct.pack("<Q", _RNG_WORDS))
-        fh.write(_pack_rng(state.rng).tobytes())
-        fh.write(struct.pack("<Q", len(digest_bytes)))
-        fh.write(digest_bytes)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<5Q", m, n, k, state.layers, svd_rank))
+            for table in (state.e_user, state.e_item, opt.m_user, opt.v_user, opt.m_item, opt.v_item):
+                fh.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
+            fh.write(struct.pack("<Q", opt.step))
+            fh.write(struct.pack("<Q", _RNG_WORDS))
+            fh.write(_pack_rng(state.rng).tobytes())
+            fh.write(struct.pack("<Q", len(digest_bytes)))
+            fh.write(digest_bytes)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Checkpoint:

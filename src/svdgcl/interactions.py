@@ -117,12 +117,6 @@ class InteractionDataset:
             f"train={self.train.shape[0]} val={self.validation.shape[0]} test={self.test.shape[0]}"
         )
 
-    def items_by_user(self, split: str = "train") -> list[np.ndarray]:
-        """Item indices per user for one split, each ascending."""
-        keys, offsets = self.pair_index(split)
-        items = keys % self.num_items
-        return [items[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
-
 
 def _read_pairs(path, user_map: dict[str, int], item_map: dict[str, int]) -> np.ndarray:
     """One pair file as (n, 2) int64 index rows, in file order.

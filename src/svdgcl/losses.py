@@ -5,12 +5,10 @@ trace; nothing here relies on an autodiff framework. The contract is
 checked against central finite differences in the test suite.
 
 The contrastive term's m x m softmax matrix dominates the step cost on
-real data, so the training loop uses loss_and_grads, which builds it once
-and reads both the loss value and its gradients off the same
-intermediates; total_loss is the loss-only view of the same code. The
-contrast reads only the member rows of each view, the layer outputs
-leaky_relu(pre[members]) of the trace's pre-activations, and
-infonce_loss runs the same per-side code on given tables. Each contrast
+real data, so loss_and_grads, the one entry point, builds it once and
+reads both the loss value and its gradients off the same intermediates.
+The contrast reads only the member rows of each view, the layer outputs
+leaky_relu(pre[members]) of the trace's pre-activations. Each contrast
 layer walks its anchors in row blocks, one block of at most
 CONTRAST_BLOCK_BYTES at a time, overwritten in place from the logits to
 the unnormalized softmax. The similarities are never kept: the gradient
@@ -138,14 +136,13 @@ def _normalize_rows(x: np.ndarray):
     return x / safe[:, None], norms
 
 
-def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float, want_grads: bool):
+def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float):
     """One layer's summed contrastive terms between the member rows a and b
     of two views.
 
     Returns (loss_sum, ga, gb): loss_sum is the plain per-anchor sum (no
-    averaging, no weighting); ga/gb are d(loss_sum)/da, d(loss_sum)/db, or
-    None when grads were not asked for. Zero-norm rows contribute
-    similarity 0 and receive zero gradient.
+    averaging, no weighting); ga/gb are d(loss_sum)/da, d(loss_sum)/db.
+    Zero-norm rows contribute similarity 0 and receive zero gradient.
 
     The anchors run in row blocks; one buffer w of at most
     CONTRAST_BLOCK_BYTES holds a block's logits s / tau against all m members
@@ -164,7 +161,7 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float, want_grads: bool):
     m = an.shape[0]
     rows = max(1, CONTRAST_BLOCK_BYTES // (8 * m))
     terms = np.empty(m)
-    ga = np.empty_like(an) if want_grads else None
+    ga = np.empty_like(an)
     for lo in range(0, m, rows):
         blk = slice(lo, lo + rows)
         w = an[blk] @ bn.T
@@ -175,13 +172,9 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float, want_grads: bool):
         np.exp(w, out=w)
         rowsum = w.sum(axis=1, keepdims=True)
         terms[blk] = peak[:, 0] + np.log(rowsum[:, 0]) - diag
-        if want_grads:
-            np.divide(w @ bn, rowsum, out=ga[blk])
-            h = w.T @ (an[blk] / rowsum)
-            gb = h if lo == 0 else np.add(gb, h, out=gb)
-    loss_sum = float(np.sum(terms))
-    if not want_grads:
-        return loss_sum, None, None
+        np.divide(w @ bn, rowsum, out=ga[blk])
+        h = w.T @ (an[blk] / rowsum)
+        gb = h if lo == 0 else np.add(gb, h, out=gb)
     for grad, unit, norms, own in ((ga, an, na, bn), (gb, bn, nb, an)):
         grad -= own
         grad /= tau
@@ -189,10 +182,10 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float, want_grads: bool):
         ok = norms > 0
         grad[ok] /= norms[ok, None]
         grad[~ok] = 0.0
-    return loss_sum, ga, gb
+    return float(np.sum(terms)), ga, gb
 
 
-def _contrast(a_layers, b_layers, tau: float, want_grads: bool):
+def _contrast(a_layers, b_layers, tau: float):
     """One side's contrast: the per-layer InfoNCE of the member rows
     a_layers[t], b_layers[t], summed over layers and averaged over members.
 
@@ -207,24 +200,10 @@ def _contrast(a_layers, b_layers, tau: float, want_grads: bool):
     total = 0.0
     grads = []
     for a, b in zip(a_layers, b_layers):
-        loss_sum, ga, gb = _infonce_layer(a, b, tau, want_grads)
+        loss_sum, ga, gb = _infonce_layer(a, b, tau)
         total += loss_sum
         grads.append((ga, gb))
     return total / m, grads
-
-
-def infonce_loss(z_layers, g_layers, members: np.ndarray, tau: float) -> float:
-    """Per-layer cosine InfoNCE between the two views, averaged over members.
-
-    Each member is its own positive: the anchor row of one view against the
-    same row of the other, contrasted with every other member. Fewer than
-    two members makes the contrast degenerate, so the term is skipped with
-    a warning.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    return _contrast([z[members] for z in z_layers], [g[members] for g in g_layers], tau, False)[0]
 
 
 def _cl_members(batch: TrainBatch, hp: HyperParams, num_users: int, num_items: int):
@@ -233,30 +212,19 @@ def _cl_members(batch: TrainBatch, hp: HyperParams, num_users: int, num_items: i
     return np.unique(batch.users), np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
 
 
-def total_loss(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams) -> LossReport:
-    """Full objective: ranking + lambda1 * contrast + lambda2 * weight norm.
+def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams):
+    """Full objective, ranking + lambda1 * contrast + lambda2 * weight norm,
+    as a LossReport and both gradients off one set of intermediates.
 
     With lambda1 == 0 the contrastive terms are not computed at all, which
-    is what lets a run skip the reconstruction branch entirely.
-    """
-    return _objective(trace, batch, state, hp, want_grads=False)[0]
-
-
-def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams):
-    """Loss report and both gradients off one set of intermediates.
-
-    The gradient walks the residual stack top-down: each running state
+    is what lets a run skip the reconstruction branch entirely. The
+    gradient walks the residual stack top-down: each running state
     collects its direct share of the final sum, the residual carry, the
     graph-propagated term from the opposite side, and (when the contrast
     is active) the reconstruction branch's term. Needs the train-mode
     trace that produced the loss.
     """
-    return _objective(trace, batch, state, hp, want_grads=True)
-
-
-def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams, want_grads: bool):
-    """Shared engine behind total_loss and loss_and_grads."""
-    if want_grads and trace.mode != "train":
+    if trace.mode != "train":
         raise ValueError("gradients need a train-mode forward trace")
     with_view = hp.lambda1 > 0
     if with_view and (trace.pre_g_user is None or trace.pre_g_item is None):
@@ -271,13 +239,11 @@ def _objective(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: Hy
         for mem, pre_z, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
             z_rows = [leaky_relu(x[mem]) for x in pre_z]
             g_rows = [leaky_relu(x[mem]) for x in pre_gs]
-            sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature, want_grads)))
+            sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature)))
     cl_u, cl_i = (sides[0][1], sides[1][1]) if sides else (0.0, 0.0)
     reg = l2_reg(state)
     total = rec + hp.lambda1 * (cl_u + cl_i) + hp.lambda2 * reg
     report = LossReport(total=total, rec_loss=rec, cl_loss_user=cl_u, cl_loss_item=cl_i, reg_loss=reg)
-    if not want_grads:
-        return report, None, None
 
     # ranking head: margins push the batched finals apart
     coeff = (expit(_margins(trace, batch)) - 1.0) / batch.size

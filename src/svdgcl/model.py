@@ -282,11 +282,3 @@ def forward(
     trace.final_user, trace.final_item = fu, fv
     return trace
 
-
-def predict_scores(trace: ForwardTrace, users) -> np.ndarray:
-    """Score every item for the given user rows: one dot product each."""
-    users = np.asarray(users, dtype=np.int64)
-    m = trace.final_user.shape[0]
-    if users.size and (users.min() < 0 or users.max() >= m):
-        raise IndexError(f"user index out of range for {m} users")
-    return trace.final_user[users] @ trace.final_item.T

@@ -23,11 +23,11 @@ from svdgcl.interactions import (
     normalize_adjacency,
 )
 from svdgcl.linalg import SvdFactors, approx_svd, exact_svd_dense, svd_propagate
-from svdgcl.losses import infonce_loss, loss_and_grads, sample_batch, total_loss
+from svdgcl.losses import loss_and_grads, sample_batch
 from svdgcl.metrics import _ranked_metrics, evaluate_popularity
 from svdgcl.model import HyperParams, forward, init_model
 from svdgcl.synth import TRAIN_WINDOW, generate_blocks
-from tests.util import one_user_dataset
+from tests.util import infonce_loss, one_user_dataset
 
 
 def announce(capsys, number, ok, detail):
@@ -136,7 +136,7 @@ def test_criterion_03_gradient_correctness(capsys):
 
     def loss_at():
         t = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(420))
-        return total_loss(t, batch, state, hp).total
+        return loss_and_grads(t, batch, state, hp)[0].total
 
     h = 1e-5
     worst = 0.0
@@ -173,7 +173,7 @@ def test_criterion_04_loss_identities(capsys):
     worst = 0.0
     for _ in range(1000):
         batch = sample_batch(ds, int(rng.integers(2, 33)), rng)
-        rep = total_loss(trace, batch, state, hp)
+        rep = loss_and_grads(trace, batch, state, hp)[0]
         recombined = (
             rep.rec_loss
             + hp.lambda1 * (rep.cl_loss_user + rep.cl_loss_item)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svdgcl import checkpoint
 from svdgcl.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from svdgcl.errors import DataError
 from svdgcl.model import HyperParams, init_model
@@ -73,6 +74,37 @@ class TestRoundTrip:
         ck = load_checkpoint(p1)
         save_checkpoint(p2, ck.state, ck.opt, ck.svd_rank, ck.config_digest)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch, error):
+        state, opt = fresh()
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, state, opt, svd_rank=4, config_digest="first")
+        before = path.read_bytes()
+        later, later_opt = fresh(seed=4)
+
+        def interrupted(gen):
+            raise error("interrupted")
+
+        # the RNG words are packed after the six tables have been written
+        monkeypatch.setattr(checkpoint, "_pack_rng", interrupted)
+        with pytest.raises(error, match="interrupted"):
+            save_checkpoint(path, later, later_opt, svd_rank=4, config_digest="second")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+        assert load_checkpoint(path).config_digest == "first"
+
+    def test_second_save_replaces_the_first_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, *fresh(seed=3), svd_rank=4, config_digest="first")
+        state, opt = fresh(seed=4)
+        save_checkpoint(str(path), state, opt, svd_rank=4, config_digest="second")
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+        ck = load_checkpoint(path)
+        assert ck.config_digest == "second"
+        np.testing.assert_array_equal(ck.state.e_user, state.e_user)
 
 
 class TestCorruption:

@@ -373,13 +373,22 @@ class TestGraph:
                 else:
                     assert dense[u, i] == 0.0
 
-    def test_items_by_user_sorted_per_split(self, tmp_path):
+    def test_pair_index_sorted_per_split(self, tmp_path):
         train, test, val = basic_files(tmp_path)
         ds = load_interactions(train, test, val)
-        per_user = ds.items_by_user("train")
-        assert len(per_user) == ds.num_users
-        for items in per_user:
+        n = ds.num_items
+
+        def per_user(split):
+            keys, offsets = ds.pair_index(split)
+            assert offsets.shape == (ds.num_users + 1,)
+            return [keys[lo:hi] % n for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+        train_items = per_user("train")
+        for items in train_items:
             assert np.all(np.diff(items) > 0) or items.size <= 1
-        np.testing.assert_array_equal(per_user[0], sorted([0, 1]))
-        val_items = ds.items_by_user("val")
-        np.testing.assert_array_equal(val_items[2], [0])
+        np.testing.assert_array_equal(train_items[0], sorted([0, 1]))
+        np.testing.assert_array_equal(per_user("val")[2], [0])
+        test_items = per_user("test")
+        np.testing.assert_array_equal(test_items[0], [2])
+        np.testing.assert_array_equal(test_items[1], [1])
+        assert test_items[2].size == 0

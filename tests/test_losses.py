@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from svdgcl import losses
-from svdgcl.errors import DataError
+from svdgcl.errors import ConfigError, DataError
 from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
 from svdgcl.linalg import approx_svd
 from svdgcl.losses import (
@@ -23,17 +23,16 @@ from svdgcl.losses import (
     _infonce_layer,
     _scatter_rows,
     bpr_loss,
-    infonce_loss,
     l2_reg,
     loss_and_grads,
     sample_batch,
-    total_loss,
 )
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model, leaky_relu
 from tests.util import (
     forward_keeping_lists,
     infonce_layer_one_buffer,
     infonce_layer_unfused,
+    infonce_loss,
     sample_batch_full_scan,
     spmm_pair_serial,
     tiny_dataset,
@@ -239,9 +238,8 @@ class TestContrast:
         assert any("member" in r.message for r in caplog.records)
 
     def test_temperature_validated(self):
-        z = [np.ones((3, 2))]
-        with pytest.raises(ValueError):
-            infonce_loss(z, z, np.array([0, 1]), tau=0.0)
+        with pytest.raises(ConfigError, match="temperature must be positive"):
+            HyperParams(temperature=0.0)
 
 
 class TestFusedContrastLayer:
@@ -251,8 +249,7 @@ class TestFusedContrastLayer:
     @pytest.mark.parametrize("m", [2, 3, 301, 1191])
     @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
     @pytest.mark.parametrize("zero_row", [None, "z", "g"])
-    @pytest.mark.parametrize("want_grads", [True, False])
-    def test_bytes_match_unfused_reference(self, m, tau, zero_row, want_grads):
+    def test_bytes_match_unfused_reference(self, m, tau, zero_row):
         rng = np.random.default_rng(m)
         rows = m + 7
         z = rng.standard_normal((rows, 16))
@@ -262,12 +259,9 @@ class TestFusedContrastLayer:
             z[members[m // 2]] = 0.0
         elif zero_row == "g":
             g[members[m // 2]] = 0.0
-        got = _infonce_layer(z[members], g[members], tau, want_grads)
-        want = infonce_layer_unfused(z, g, members, tau, want_grads)
+        got = _infonce_layer(z[members], g[members], tau)
+        want = infonce_layer_unfused(z, g, members, tau)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        if not want_grads:
-            assert got[1] is None and got[2] is None
-            return
         for a, b in zip(got[1:], want[1:]):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -286,7 +280,7 @@ class TestFusedContrastLayer:
         members = np.sort(rng.choice(rows, size=m, replace=False))
         if zero_row is not None:
             views[zero_row][members[m // 2]] = 0.0
-        _, ga, gb = _infonce_layer(views["z"][members], views["g"][members], tau, True)
+        _, ga, gb = _infonce_layer(views["z"][members], views["g"][members], tau)
         for name, grad in (("z", ga), ("g", gb)):
             x = views[name]
             fd = np.zeros_like(grad)
@@ -296,9 +290,9 @@ class TestFusedContrastLayer:
                 for c in range(d):
                     keep = x[r, c]
                     x[r, c] = keep + h
-                    up = _infonce_layer(views["z"][members], views["g"][members], tau, False)[0]
+                    up = _infonce_layer(views["z"][members], views["g"][members], tau)[0]
                     x[r, c] = keep - h
-                    down = _infonce_layer(views["z"][members], views["g"][members], tau, False)[0]
+                    down = _infonce_layer(views["z"][members], views["g"][members], tau)[0]
                     x[r, c] = keep
                     fd[k, c] = (up - down) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
@@ -314,7 +308,7 @@ class TestFusedContrastLayer:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _infonce_layer(z[members], g[members], 0.7, True)
+            _infonce_layer(z[members], g[members], 0.7)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -342,16 +336,12 @@ class TestBlockedContrastLayer:
     @pytest.mark.parametrize("m", [2, 3, 301, 1191, 1682])
     @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
     @pytest.mark.parametrize("zero_row", [None, "z", "g"])
-    @pytest.mark.parametrize("want_grads", [True, False])
-    def test_one_block_bytes_match_one_buffer_layer(self, m, tau, zero_row, want_grads):
+    def test_one_block_bytes_match_one_buffer_layer(self, m, tau, zero_row):
         assert losses.CONTRAST_BLOCK_BYTES >= 8 * m * m
         a, b = contrast_rows(m, zero_row)
-        got = _infonce_layer(a, b, tau, want_grads)
-        want = infonce_layer_one_buffer(a, b, tau, want_grads)
+        got = _infonce_layer(a, b, tau)
+        want = infonce_layer_one_buffer(a, b, tau)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        if not want_grads:
-            assert got[1] is None and got[2] is None
-            return
         for x, y in zip(got[1:], want[1:]):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -365,10 +355,9 @@ class TestBlockedContrastLayer:
         rows = {"one": 1, "64": 64, "half": m // 2 + 1}[block_rows]
         monkeypatch.setattr(losses, "CONTRAST_BLOCK_BYTES", 8 * m * rows)
         a, b = contrast_rows(m, zero_row)
-        got = _infonce_layer(a, b, tau, True)
-        want = infonce_layer_one_buffer(a, b, tau, True)
+        got = _infonce_layer(a, b, tau)
+        want = infonce_layer_one_buffer(a, b, tau)
         assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
-        assert got[0] == _infonce_layer(a, b, tau, False)[0]
         for x, y in zip(got[1:], want[1:]):
             assert x.shape == y.shape
             assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
@@ -387,7 +376,7 @@ class TestBlockedContrastLayer:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _infonce_layer(z, g, 0.7, True)
+            _infonce_layer(z, g, 0.7)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -449,7 +438,7 @@ class TestObjective:
     def test_report_decomposition(self):
         ds, a, hp, state, svd, batch = build_setup()
         trace = forward(state, a, svd=svd, hp=hp, mode="train")
-        report = total_loss(trace, batch, state, hp)
+        report = loss_and_grads(trace, batch, state, hp)[0]
         recombined = (
             report.rec_loss
             + hp.lambda1 * (report.cl_loss_user + report.cl_loss_item)
@@ -461,7 +450,7 @@ class TestObjective:
     def test_terms_match_standalone_functions(self):
         ds, a, hp, state, svd, batch = build_setup()
         trace = forward(state, a, svd=svd, hp=hp, mode="train")
-        report = total_loss(trace, batch, state, hp)
+        report = loss_and_grads(trace, batch, state, hp)[0]
         assert abs(report.rec_loss - bpr_loss(trace, batch)) < 1e-12
         assert abs(report.reg_loss - l2_reg(state)) < 1e-9
         members_u = np.unique(batch.users)
@@ -478,7 +467,7 @@ class TestObjective:
     def test_lambda1_zero_skips_contrast(self):
         ds, a, hp, state, svd, batch = build_setup(lambda1=0.0)
         trace = forward(state, a, hp=hp, mode="train")
-        report = total_loss(trace, batch, state, hp)
+        report = loss_and_grads(trace, batch, state, hp)[0]
         assert report.cl_loss_user == 0.0 and report.cl_loss_item == 0.0
 
     def test_eval_trace_rejected_for_grads(self):
@@ -491,13 +480,15 @@ class TestObjective:
         ds, a, hp, state, svd, batch = build_setup()
         trace = forward(state, a, hp=dataclasses.replace(hp, lambda1=0.0), mode="train")
         with pytest.raises(ValueError, match="global view"):
-            total_loss(trace, batch, state, hp)
+            loss_and_grads(trace, batch, state, hp)
 
-    def test_loss_and_grads_consistent_with_parts(self):
+    def test_loss_and_grads_repeat_and_keep_the_trace(self):
         ds, a, hp, state, svd, batch = build_setup()
         trace = forward(state, a, svd=svd, hp=hp, mode="train")
         report, gu, gi = loss_and_grads(trace, batch, state, hp)
-        assert report == total_loss(trace, batch, state, hp)
+        again, gu2, gi2 = loss_and_grads(trace, batch, state, hp)
+        assert report == again
+        assert gu.tobytes() == gu2.tobytes() and gi.tobytes() == gi2.tobytes()
         assert gu.shape == state.e_user.shape
         assert gi.shape == state.e_item.shape
 
@@ -531,7 +522,7 @@ def fd_check(cl_scope, dropout_p, lambda1, layers, seed, tol=1e-6):
 
     def loss_at():
         t = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(seed))
-        return total_loss(t, batch, state, hp).total
+        return loss_and_grads(t, batch, state, hp)[0].total
 
     h = 1e-5
     worst = 0.0

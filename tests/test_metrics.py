@@ -10,7 +10,7 @@ from svdgcl.errors import NumericalError
 from svdgcl.interactions import InteractionDataset, build_adjacency, normalize_adjacency
 from svdgcl.metrics import EvalResult, evaluate, evaluate_popularity
 from svdgcl.model import HyperParams, ModelState, forward, init_model
-from tests.util import metrics_over_users_loop, one_user_dataset, tiny_dataset
+from tests.util import items_by_user, metrics_over_users_loop, one_user_dataset, tiny_dataset
 
 
 def brute_rank(scores, masked, k):
@@ -139,15 +139,13 @@ class TestEvaluate:
         assert isinstance(res, EvalResult)
         assert res.users_evaluated == ds.num_users
 
-        from svdgcl.model import forward, predict_scores
-
         trace = forward(state, a)
-        train_items = ds.items_by_user("train")
-        test_items = ds.items_by_user("test")
+        train_items = items_by_user(ds, "train")
+        test_items = items_by_user(ds, "test")
         for k in (2, 5):
             recs, gains = [], []
             for u in range(ds.num_users):
-                scores = predict_scores(trace, [u])[0]
+                scores = trace.final_user[u] @ trace.final_item.T
                 masked = set(train_items[u].tolist())
                 ranked = brute_rank(scores, masked, k)
                 rel = set(test_items[u].tolist())
@@ -189,8 +187,8 @@ class TestPopularity:
         ds = tiny_dataset()
         res = evaluate_popularity(ds, ks=[3])
         counts = np.bincount(ds.train[:, 1], minlength=ds.num_items)
-        train_items = ds.items_by_user("train")
-        test_items = ds.items_by_user("test")
+        train_items = items_by_user(ds, "train")
+        test_items = items_by_user(ds, "test")
         recs = []
         for u in range(ds.num_users):
             ranked = brute_rank(counts, set(train_items[u].tolist()), 3)

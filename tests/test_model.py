@@ -26,7 +26,6 @@ from svdgcl.model import (
     init_model,
     leaky_relu,
     leaky_relu_grad,
-    predict_scores,
 )
 from tests.util import forward_keeping_lists, src_env, tiny_dataset
 
@@ -322,22 +321,3 @@ class TestForkedChild:
         )
         assert done.returncode == 0, done.stderr[-2000:]
 
-
-class TestPredictScores:
-    def test_scores_are_final_dot_products(self):
-        ds = tiny_dataset()
-        a = normalize_adjacency(build_adjacency(ds))
-        state = init_model(ds, HyperParams(embed_dim=5, layers=2, seed=1))
-        trace = forward(state, a)
-        users = np.array([1, 0])
-        got = predict_scores(trace, users)
-        want = trace.final_user[users] @ trace.final_item.T
-        np.testing.assert_allclose(got, want, atol=0)
-
-    def test_bounds_checked(self):
-        ds = tiny_dataset()
-        a = normalize_adjacency(build_adjacency(ds))
-        state = init_model(ds, HyperParams(embed_dim=5, seed=1))
-        trace = forward(state, a)
-        with pytest.raises(IndexError):
-            predict_scores(trace, [ds.num_users])

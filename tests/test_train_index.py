@@ -50,15 +50,17 @@ class TestIndex:
         assert ds.in_train(*np.divmod(probe, n)).tolist() == [expect[k] for k in probe]
 
     @given(graphs())
-    def test_items_by_user_are_sorted_per_user_lists(self, g):
+    def test_pair_index_slices_are_sorted_per_user_items(self, g):
         m, n, train, val = g
         ds = dataset(m, n, train, val)
         for split, pairs in (("train", train), ("val", val), ("test", [])):
-            got = ds.items_by_user(split)
-            assert len(got) == m
+            keys, offsets = ds.pair_index(split)
+            assert keys.dtype == np.int64 and offsets.shape == (m + 1,)
+            assert offsets[0] == 0 and offsets[-1] == len(pairs)
             for u in range(m):
-                assert got[u].dtype == np.int64
-                assert got[u].tolist() == sorted(i for uu, i in pairs if uu == u)
+                own = keys[offsets[u] : offsets[u + 1]]
+                assert (own // n == u).all()
+                assert (own % n).tolist() == sorted(i for uu, i in pairs if uu == u)
 
     @given(graphs())
     def test_adjacency_is_canonical_and_matches_dense_oracle(self, g):

@@ -10,7 +10,7 @@ from scipy.sparse import csr_array
 from svdgcl.errors import DataError, ParseError
 from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
 from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
-from svdgcl.losses import MAX_NEG_TRIES, TrainBatch
+from svdgcl.losses import MAX_NEG_TRIES, TrainBatch, _contrast
 from svdgcl.model import leaky_relu, spmm, spmm_t
 
 
@@ -54,7 +54,7 @@ def svdgcl_logger_state():
     return list(lg.handlers), lg.level, lg.propagate
 
 
-def infonce_layer_unfused(z, g, members, tau, want_grads):
+def infonce_layer_unfused(z, g, members, tau):
     """The contrast layer as one fresh array per formula (np.eye included).
 
     A frozen reference for losses._infonce_layer, which keeps one in-place
@@ -81,8 +81,6 @@ def infonce_layer_unfused(z, g, members, tau, want_grads):
     rowsum = e.sum(axis=1, keepdims=True)
     lse = peak[:, 0] + np.log(rowsum[:, 0])
     loss_sum = float(np.sum(lse - np.diagonal(logits)))
-    if not want_grads:
-        return loss_sum, None, None
     p = e / rowsum
     ds = p - np.eye(m)
     ds /= tau
@@ -98,7 +96,7 @@ def infonce_layer_unfused(z, g, members, tau, want_grads):
     return loss_sum, ga, gb
 
 
-def infonce_layer_one_buffer(a, b, tau, want_grads):
+def infonce_layer_one_buffer(a, b, tau):
     """Frozen copy of losses._infonce_layer as one m x m buffer over all
     anchors at once, before it walked its anchors in blocks.
 
@@ -123,8 +121,6 @@ def infonce_layer_one_buffer(a, b, tau, want_grads):
     rowsum = w.sum(axis=1, keepdims=True)
     lse = peak[:, 0] + np.log(rowsum[:, 0])
     loss_sum = float(np.sum(lse - diag))
-    if not want_grads:
-        return loss_sum, None, None
     ga = w @ bn
     ga /= rowsum
     ga -= bn
@@ -138,6 +134,26 @@ def infonce_layer_one_buffer(a, b, tau, want_grads):
         grad[ok] /= norms[ok, None]
         grad[~ok] = 0.0
     return loss_sum, ga, gb
+
+
+def infonce_loss(z_layers, g_layers, members, tau):
+    """One side's contrast term as loss_and_grads computes it: the cosine
+    InfoNCE between the member rows of each layer's two views, summed over
+    layers and averaged over members (0.0, with a warning, below two)."""
+    members = np.asarray(members, dtype=np.int64)
+    return _contrast([z[members] for z in z_layers], [g[members] for g in g_layers], tau)[0]
+
+
+def items_by_user(ds, split="train"):
+    """Each user's items in one split ("train", "val" or "test"), ascending.
+
+    Built by a loop over the split's raw pair rows, so it shares no code
+    with ds.pair_index, which the metrics and the sampler read.
+    """
+    per_user = [[] for _ in range(ds.num_users)]
+    for u, i in getattr(ds, "validation" if split == "val" else split).tolist():
+        per_user[u].append(i)
+    return [np.array(sorted(items), dtype=np.int64) for items in per_user]
 
 
 def rank_items(scores, masked, k):
@@ -204,8 +220,8 @@ def metrics_over_users_loop(ds, ks, score_row, split="test"):
     ks = sorted(int(k) for k in ks)
     if not ks or ks[0] < 1:
         raise ValueError("cutoffs must be positive")
-    train_items = ds.items_by_user("train")
-    test_items = ds.items_by_user(split)
+    train_items = items_by_user(ds, "train")
+    test_items = items_by_user(ds, split)
     recall_sums = {k: 0.0 for k in ks}
     ndcg_sums = {k: 0.0 for k in ks}
     users = 0
