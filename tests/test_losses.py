@@ -270,6 +270,24 @@ class TestFusedContrastLayer:
         elif zero_row == "g":
             assert not got[2][m // 2].any()
 
+    @pytest.mark.parametrize("m", [2, 3, 301, 1191])
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
+    @pytest.mark.parametrize("zero_row", [None, "z", "g"])
+    def test_member_order_permutes_the_grads(self, m, tau, zero_row):
+        # the same reordering of both views' members reorders the anchors and
+        # their candidates alike: the loss stays, the gradient rows follow
+        a, b = contrast_rows(m, zero_row)
+        order = np.random.default_rng(m + 1).permutation(m)
+        loss, ga, gb = _infonce_layer(a, b, tau)
+        loss_p, ga_p, gb_p = _infonce_layer(a[order], b[order], tau)
+        assert abs(loss_p - loss) <= 1e-12 * abs(loss)
+        for got, want in ((ga_p, ga[order]), (gb_p, gb[order])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if zero_row is not None:
+            moved = int(np.flatnonzero(order == m // 2)[0])
+            assert not {"z": ga_p, "g": gb_p}[zero_row][moved].any()
+
     @pytest.mark.parametrize("m", [2, 3, 17])
     @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
     @pytest.mark.parametrize("zero_row", [None, "z", "g"])
@@ -344,6 +362,26 @@ class TestBlockedContrastLayer:
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         for x, y in zip(got[1:], want[1:]):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 301, 1191, 1682])
+    @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
+    @pytest.mark.parametrize("zero_row", [None, "z", "g"])
+    def test_row_scale_free_and_inputs_unchanged(self, m, tau, zero_row):
+        # cosine similarities ignore each row's length: scaling row i by 2**k
+        # (exact in floating point) keeps the loss bytes and divides that
+        # row's gradient by exactly 2**k; the caller's rows are not touched
+        a, b = contrast_rows(m, zero_row)
+        rng = np.random.default_rng(m + 2)
+        sa = np.ldexp(1.0, rng.integers(-6, 7, size=m))[:, None]
+        sb = np.ldexp(1.0, rng.integers(-6, 7, size=m))[:, None]
+        a2, b2 = a * sa, b * sb
+        keep = a2.tobytes(), b2.tobytes()
+        loss, ga, gb = _infonce_layer(a, b, tau)
+        loss2, ga2, gb2 = _infonce_layer(a2, b2, tau)
+        assert (a2.tobytes(), b2.tobytes()) == keep
+        assert np.float64(loss2).tobytes() == np.float64(loss).tobytes()
+        assert (ga2 * sa).tobytes() == ga.tobytes()
+        assert (gb2 * sb).tobytes() == gb.tobytes()
 
     @pytest.mark.parametrize("m", [2, 3, 301, 1191])
     @pytest.mark.parametrize("tau", [1.0, 0.7, 0.2])
