@@ -5,7 +5,7 @@ u64 dims (users, items, embed_dim, layers, svd_rank), the six f64 tables
 row-major (e_user, e_item, then first/second moments in the same order),
 u64 optimizer step, u64 word count plus that many u64 RNG words, and a
 length-prefixed UTF-8 config digest. Round-trips are bit-exact. A save
-renames an fsynced temp file over its target.
+renames an fsynced temp file over its target, then fsyncs the directory.
 """
 from __future__ import annotations
 
@@ -84,6 +84,14 @@ def save_checkpoint(path, state: ModelState, opt: OptimizerState, svd_rank: int,
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        try:  # then the rename: fsync the directory, where the OS can open one
+            dir_fd = os.open(Path(path).parent, os.O_RDONLY)
+        except OSError:
+            return
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     finally:
         Path(tmp).unlink(missing_ok=True)
 

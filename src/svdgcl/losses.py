@@ -113,16 +113,18 @@ def _scatter_rows(dest: np.ndarray, weights: np.ndarray, src: np.ndarray, table:
     return coo_array((weights, (dest, src)), shape=(rows, table.shape[0])) @ table
 
 
-def _margins(trace: ForwardTrace, batch: TrainBatch) -> np.ndarray:
-    fu = trace.final_user[batch.users]
-    return np.einsum("ij,ij->i", fu, trace.final_item[batch.pos_items]) - np.einsum(
-        "ij,ij->i", fu, trace.final_item[batch.neg_items]
-    )
+def _ranking_terms(trace: ForwardTrace, batch: TrainBatch):
+    """The batch's final user rows, positive-minus-negative item rows, score
+    margins and BPR loss, off one gather per table."""
+    fu, pos, neg = trace.final_user[batch.users], trace.final_item[batch.pos_items], trace.final_item[batch.neg_items]
+    margins = np.einsum("ij,ij->i", fu, pos) - np.einsum("ij,ij->i", fu, neg)
+    pos -= neg  # the gather is ours, so the difference can take its place
+    return fu, pos, margins, float(np.mean(np.logaddexp(0.0, -margins)))
 
 
 def bpr_loss(trace: ForwardTrace, batch: TrainBatch) -> float:
     """Mean softplus of the negated positive-minus-negative score margin."""
-    return float(np.mean(np.logaddexp(0.0, -_margins(trace, batch))))
+    return _ranking_terms(trace, batch)[3]
 
 
 def l2_reg(state: ModelState) -> float:
@@ -230,7 +232,6 @@ def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp
     if with_view and (trace.pre_g_user is None or trace.pre_g_item is None):
         raise ValueError("lambda1 > 0 needs a trace carrying the global view")
 
-    rec = bpr_loss(trace, batch)
     # per side, user then item: members, contrast loss, each layer's (ga, gb) or None
     sides = []
     pre_g = (trace.pre_g_user, trace.pre_g_item)
@@ -241,14 +242,14 @@ def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp
             g_rows = [leaky_relu(x[mem]) for x in pre_gs]
             sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature)))
     cl_u, cl_i = (sides[0][1], sides[1][1]) if sides else (0.0, 0.0)
+    # after the contrast, so that its batch rows are not live during the m x m blocks
+    fu, diff, margins, rec = _ranking_terms(trace, batch)
     reg = l2_reg(state)
     total = rec + hp.lambda1 * (cl_u + cl_i) + hp.lambda2 * reg
     report = LossReport(total=total, rec_loss=rec, cl_loss_user=cl_u, cl_loss_item=cl_i, reg_loss=reg)
 
     # ranking head: margins push the batched finals apart
-    coeff = (expit(_margins(trace, batch)) - 1.0) / batch.size
-    fu = trace.final_user[batch.users]
-    diff = trace.final_item[batch.pos_items] - trace.final_item[batch.neg_items]
+    coeff = (expit(margins) - 1.0) / batch.size
     triple = np.arange(batch.size)
     gfu = _scatter_rows(batch.users, coeff, triple, diff, state.num_users)
     # positives, then negatives: the order the item rows accumulate in

@@ -1,5 +1,8 @@
 """Binary snapshot format: bit-exact round trips and corruption handling."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,22 @@ class TestAtomicSave:
         ck = load_checkpoint(path)
         assert ck.config_digest == "second"
         np.testing.assert_array_equal(ck.state.e_user, state.e_user)
+
+    def test_directory_is_fsynced_after_the_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, *fresh(seed=3), svd_rank=4, config_digest="first")
+        real_fsync = os.fsync
+        synced = []
+
+        def spy(fd):
+            # what the descriptor is, and which save the path holds at the time
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), load_checkpoint(path).config_digest))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        save_checkpoint(path, *fresh(seed=4), svd_rank=4, config_digest="second")
+        # the temp file before the rename, the directory after it
+        assert synced == [(False, "first"), (True, "second")]
 
 
 class TestCorruption:

@@ -1,17 +1,21 @@
 """Interaction file ingestion, splits, and graph construction."""
 
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from svdgcl import interactions
 from svdgcl.errors import DataError, ParseError, ProtocolError
 from svdgcl.interactions import (
+    CHUNK_CHARS,
     InteractionDataset,
     _holdout_validation,
     _read_pairs,
+    _regular_rows,
     build_adjacency,
     load_interactions,
     normalize_adjacency,
@@ -311,8 +315,64 @@ class TestRoundTripProperty:
         assert [(first / n).read_bytes() for n in names] == [(second / n).read_bytes() for n in names]
 
 
+def read_like_the_oracle(path, new_maps, old_maps) -> bool:
+    """_read_pairs against the frozen read-then-index reader on one file,
+    each over its own maps: equal rows and map order, or the same ParseError
+    (text and line number). False where both raised."""
+    try:
+        want = index_pairs(read_pair_lines(path), *old_maps)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _read_pairs(path, *new_maps)
+        assert str(got.value) == str(exc)
+        return False
+    got = _read_pairs(path, *new_maps)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    for new, old in zip(new_maps, old_maps):
+        assert list(new.items()) == list(old.items())
+    return True
+
+
 # a line with one field, possibly a comment: "#x" is skipped, "x" is a ParseError
 _TOKEN_LINE = st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "#"]), _ID).map("".join)
+# no "#" and no whitespace, so that every line built from them is regular
+_PLAIN_ID = st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=3)
+
+
+@st.composite
+def _regular_file_texts(draw):
+    """Three regular texts (see interactions._regular_rows): F fields on
+    every line, each split by one tab or space, over a few repeating ids,
+    with or without the final newline."""
+    fields = draw(st.integers(2, 4))
+    ids = draw(st.lists(_PLAIN_ID, min_size=1, max_size=5, unique=True))
+    texts = []
+    for _ in range(3):
+        lines = []
+        for _ in range(draw(st.integers(1, 12))):
+            tokens = [draw(st.sampled_from(ids)) for _ in range(fields)]
+            lines.append("".join(t + draw(st.sampled_from(["\t", " "])) for t in tokens[:-1]) + tokens[-1])
+        texts.append("\n".join(lines) + draw(st.sampled_from(["\n", ""])))
+    return texts
+
+
+# what one edit writes over a drawn character, or in before it
+_EDITS = st.sampled_from(
+    ["", "\n", "\n\n", "\t", "  ", " x", "#", "\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2028", "é"]
+)
+
+
+@st.composite
+def _perturbed_file_texts(draw):
+    """Regular texts with one edit in one of them: a character deleted,
+    replaced, or inserted."""
+    texts = draw(_regular_file_texts())
+    which = draw(st.integers(0, 2))
+    at = draw(st.integers(0, len(texts[which])))
+    cut = draw(st.integers(0, 1))
+    texts[which] = texts[which][:at] + draw(_EDITS) + texts[which][at + cut :]
+    return texts
 
 
 class TestReaderMatchesTheTwoPassOracle:
@@ -321,9 +381,7 @@ class TestReaderMatchesTheTwoPassOracle:
         st.lists(st.tuples(st.integers(0, 2), st.integers(0, 40), _TOKEN_LINE), max_size=2),
     )
     def test_same_rows_id_order_and_parse_errors(self, pair_dir, texts, token_lines):
-        """_read_pairs against the frozen read-then-index reader, file by
-        file over shared id maps: equal rows, equal map order, and the same
-        ParseError (text and line number) where the oracle raises one."""
+        """File by file over shared id maps, up to the first ParseError."""
         files = [text.splitlines() for text in texts]
         for which, at, line in token_lines:
             files[which].insert(min(at, len(files[which])), line)
@@ -331,18 +389,96 @@ class TestReaderMatchesTheTwoPassOracle:
         for name, lines in zip(("train.txt", "val.txt", "test.txt"), files):
             path = pair_dir / f"oracle_{name}"
             path.write_text("".join(line + "\n" for line in lines))
-            try:
-                want = index_pairs(read_pair_lines(path), *old_maps)
-            except ParseError as exc:
-                with pytest.raises(ParseError) as got:
-                    _read_pairs(path, *new_maps)
-                assert str(got.value) == str(exc)
+            if not read_like_the_oracle(path, new_maps, old_maps):
                 return
-            got = _read_pairs(path, *new_maps)
-            assert got.dtype == np.int64 and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
-            for new, old in zip(new_maps, old_maps):
-                assert list(new.items()) == list(old.items())
+
+    @given(_regular_file_texts() | _perturbed_file_texts(), st.sampled_from([1, 5, 64, CHUNK_CHARS]))
+    def test_regular_files_and_one_edit_from_them(self, pair_dir, texts, chunk_chars):
+        """The same over (nearly) regular files, which the array path reads,
+        with chunks down to one character."""
+        new_maps, old_maps = ({}, {}), ({}, {})
+        with mock.patch.object(interactions, "CHUNK_CHARS", chunk_chars):
+            for name, text in zip(("train.txt", "val.txt", "test.txt"), texts):
+                path = pair_dir / f"regular_{name}"
+                path.write_bytes(text.encode("utf-8"))
+                if not read_like_the_oracle(path, new_maps, old_maps):
+                    return
+
+
+def _long_regular_text():
+    """A regular text over three chunks, with repeated lines, whose last
+    line brings a new user and a new item."""
+    lines = [f"u{k % 50}\ti{k % 70}" for k in range(3 * CHUNK_CHARS // 8)]
+    return "\n".join(lines + ["u_last\ti_last"]) + "\n"
+
+
+# name: (file text, whether the array path reads it)
+_EXACTNESS_CASES = {
+    "count_rule_counterexample": ("a\nb c d\n", False),
+    "field_counts_balancing_out": ("a b\nc\nd e f\n", False),
+    "blank_line_between": ("u1\ti1\n\nu2\ti2\n", False),
+    "leading_tab": ("\tu1\ti1\nu2\ti2\n", False),
+    "trailing_tab": ("u1\ti1\t\nu2\ti2\n", False),
+    "trailing_tab_unterminated": ("u1\ti1\nu2\t", False),
+    "double_separator": ("u1\t\ti1\nu2 i2\n", False),
+    "hash_inside_a_field": ("u1\ti#2\nu2\ti1\n", False),
+    "no_final_newline": ("u1\ti1\nu2 i2", True),
+    "crlf": ("u1\ti1\r\nu2\ti2\r\nu1\ti2\r\n", True),
+    "non_ascii_id": ("u1\ti1\nü2\ti2\n", False),
+    "field_count_changes_between_chunks": ("a b\nc d\ne f g\nh i j\n", False),
+    "udata_four_fields": ("196\t242\t3\t881250949\n186\t302\t3\t891717742\n196\t302\t5\t881250950\n", True),
+    "longer_than_a_chunk": (_long_regular_text(), True),
+}
+
+
+class TestRegularFileExactness:
+    @pytest.mark.parametrize("chunk_chars", [6, CHUNK_CHARS])
+    @pytest.mark.parametrize("name", list(_EXACTNESS_CASES))
+    def test_same_as_the_oracle(self, tmp_path, monkeypatch, name, chunk_chars):
+        # 6 characters end field_count_changes_between_chunks' first chunk
+        # after its second line
+        monkeypatch.setattr(interactions, "CHUNK_CHARS", chunk_chars)
+        text, regular = _EXACTNESS_CASES[name]
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(text.encode("utf-8"))
+        read_like_the_oracle(path, ({}, {}), ({}, {}))
+        decoded = path.read_text(encoding="utf-8")
+        assert (_regular_rows(decoded, {}, {}) is not None) == regular
+
+    def test_counterexample_is_a_parse_error_at_line_1(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text("a\nb c d\n")
+        with pytest.raises(ParseError, match=r"pairs\.txt:1: expected 'user item', got 'a'"):
+            _read_pairs(path, {}, {})
+
+    def test_id_first_seen_in_the_last_chunk(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text(_long_regular_text())
+        users, items = {}, {}
+        rows = _read_pairs(path, users, items)
+        assert len(path.read_text()) > 2 * CHUNK_CHARS
+        assert list(users)[-1] == "u_last" and list(items)[-1] == "i_last"
+        np.testing.assert_array_equal(rows[-1], [50, 70])
+        assert rows.shape == (351, 2)
+
+    def test_bench_format_files_take_the_array_path(self, tmp_path, monkeypatch):
+        """u<user>\\ti<item> lines, as the benchmark writes them, and a
+        u.data-style file: every read goes through _regular_rows and none
+        falls back to the line loop."""
+        results = []
+
+        def spy(text, user_map, item_map):
+            results.append(_regular_rows(text, user_map, item_map))
+            return results[-1]
+
+        monkeypatch.setattr(interactions, "_regular_rows", spy)
+        train = write(tmp_path / "train.txt", "".join(f"u{u}\ti{(u + j) % 9}\n" for u in range(6) for j in range(4)))
+        test = write(tmp_path / "test.txt", "".join(f"u{u}\ti{(u + 4) % 9}\n" for u in range(6)))
+        val = write(tmp_path / "val.txt", "".join(f"u{u}\ti{(u + 5) % 9}\n" for u in range(6)))
+        load_interactions(train, test, val)
+        udata = write(tmp_path / "u.data", "196\t242\t3\t881250949\n186\t302\t3\t891717742\n")
+        _read_pairs(udata, {}, {})
+        assert len(results) == 4 and all(rows is not None for rows in results)
 
 
 class TestGraph:
