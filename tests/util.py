@@ -6,12 +6,22 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_array
+from scipy.special import expit
 
 from svdgcl.errors import DataError, ParseError
 from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
 from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
-from svdgcl.losses import MAX_NEG_TRIES, TrainBatch, _contrast
-from svdgcl.model import leaky_relu, spmm, spmm_t
+from svdgcl.losses import (
+    MAX_NEG_TRIES,
+    LossReport,
+    TrainBatch,
+    _cl_members,
+    _contrast,
+    _ranking_terms,
+    _scatter_rows,
+    l2_reg,
+)
+from svdgcl.model import leaky_relu, leaky_relu_grad, spmm, spmm_pair, spmm_t
 
 
 def tiny_dataset(num_users=8, num_items=10):
@@ -314,6 +324,65 @@ def forward_keeping_lists(state, a_norm, svd, hp, mode, rng, with_global_view):
     out["final_user"] = np.add.reduce(h_user)
     out["final_item"] = np.add.reduce(h_item)
     return out
+
+
+def loss_and_grads_carried_view(trace, batch, state, hp, svd, kept):
+    """Frozen copy of losses.loss_and_grads from when the forward pass carried
+    the global view: each layer's full view tables pre_g, read here from
+    kept, the output of forward_keeping_lists(..., with_global_view=True)
+    with the trace's masks. Everything else comes from the trace."""
+    with_view = hp.lambda1 > 0
+    sides = []
+    pre_g = (kept["pre_g_user"], kept["pre_g_item"])
+    if with_view:
+        members = _cl_members(batch, hp, state.num_users, state.num_items)
+        for mem, pre_z, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
+            z_rows = [leaky_relu(x[mem]) for x in pre_z]
+            g_rows = [leaky_relu(x[mem]) for x in pre_gs]
+            sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature)))
+    cl_u, cl_i = (sides[0][1], sides[1][1]) if sides else (0.0, 0.0)
+    fu, diff, margins, rec = _ranking_terms(trace, batch)
+    reg = l2_reg(state)
+    total = rec + hp.lambda1 * (cl_u + cl_i) + hp.lambda2 * reg
+    report = LossReport(total=total, rec_loss=rec, cl_loss_user=cl_u, cl_loss_item=cl_i, reg_loss=reg)
+
+    coeff = (expit(margins) - 1.0) / batch.size
+    triple = np.arange(batch.size)
+    gfu = _scatter_rows(batch.users, coeff, triple, diff, state.num_users)
+    gfv = _scatter_rows(
+        np.concatenate([batch.pos_items, batch.neg_items]),
+        np.concatenate([coeff, -coeff]),
+        np.concatenate([triple, triple]),
+        fu,
+        state.num_items,
+    )
+
+    gu = gfu.copy()
+    gv = gfv.copy()
+    for t in reversed(range(state.layers)):
+        dz = [gu, gv]
+        dpre_g = [None, None]
+        for s, (mem, _, grads) in enumerate(sides):
+            if grads is None:
+                continue
+            weight = hp.lambda1 / mem.shape[0]
+            dz[s] = dz[s].copy()
+            dz[s][mem] += grads[t][0] * weight
+            dpre_g[s] = np.zeros_like(pre_g[s][t])
+            dpre_g[s][mem] = grads[t][1] * weight * leaky_relu_grad(pre_g[s][t][mem])
+        dpre_zu = dz[0] * leaky_relu_grad(trace.pre_z_user[t])
+        dpre_zv = dz[1] * leaky_relu_grad(trace.pre_z_item[t])
+        down_u, down_v = spmm_pair(trace.dropped_adj[t], dpre_zv, dpre_zu)
+        next_gu, next_gv = gu + gfu + down_u, gv + gfv + down_v
+        if dpre_g[0] is not None:
+            next_gv += svd_propagate(svd, dpre_g[0], "item")
+        if dpre_g[1] is not None:
+            next_gu += svd_propagate(svd, dpre_g[1], "user")
+        gu, gv = next_gu, next_gv
+
+    gu += 2.0 * hp.lambda2 * state.e_user
+    gv += 2.0 * hp.lambda2 * state.e_item
+    return report, gu, gv
 
 
 def holdout_validation_user_scan(train, test, fraction, seed):
