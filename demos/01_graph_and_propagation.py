@@ -46,6 +46,8 @@ print("== propagation: three rounds of neighbor mixing ==")
 hp = HyperParams(embed_dim=4, layers=3, seed=1)
 state = init_model(ds, hp)
 trace = forward(state, a)
+print("without hyperparameters nothing is dropped: the pass evaluation ranks with")
+print("the SVD's global view is not computed here; only the contrast reads it")
 print(f"pre-activations kept for backprop: {len(trace.pre_z_user)} (one per layer)")
 print(f"adjacency each layer propagated through: {len(trace.dropped_adj)}")
 print("final user representations are the sum of every running state,")

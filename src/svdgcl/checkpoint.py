@@ -59,7 +59,6 @@ class Checkpoint:
 
     state: ModelState
     opt: OptimizerState
-    step: int
     svd_rank: int
     config_digest: str
 
@@ -159,4 +158,4 @@ def load_checkpoint(path) -> Checkpoint:
         v_item=v_item,
         step=int(step),
     )
-    return Checkpoint(state=state, opt=opt, step=int(step), svd_rank=int(svd_rank), config_digest=digest)
+    return Checkpoint(state=state, opt=opt, svd_rank=int(svd_rank), config_digest=digest)

@@ -247,8 +247,8 @@ def run_training(config: RunConfig) -> TrainResult:
         sums = np.zeros(5)
         for _ in range(batches):
             batch = sample_batch(ds, config.batch_size, state.rng)
-            trace = forward(state, a_norm, svd, config, mode="train")
-            report, gu, gv = loss_and_grads(trace, batch, state, config)
+            trace = forward(state, a_norm, config)
+            report, gu, gv = loss_and_grads(trace, batch, state, config, svd)
             parts = (report.rec_loss, report.cl_loss_user, report.cl_loss_item, report.reg_loss, report.total)
             if not all(math.isfinite(x) for x in parts):
                 raise NumericalError(
@@ -269,7 +269,7 @@ def run_training(config: RunConfig) -> TrainResult:
         )
         epochs_run = epoch
         if val_available and epoch % config.eval_every == 0:
-            res = evaluate(state, a_norm, svd, ds, ks, split="val")
+            res = evaluate(state, a_norm, ds, ks, split="val")
             _log_eval(epoch, res, ks)
             metric = res.recall[primary]
             if metric > best_metric:
@@ -295,7 +295,7 @@ def run_training(config: RunConfig) -> TrainResult:
             save_checkpoint(ckpt_path, state, opt, config.svd_rank, config.digest())
         checkpoint_used = str(ckpt_path)
 
-    test_result = evaluate(state, a_norm, svd, ds, ks, split="test")
+    test_result = evaluate(state, a_norm, ds, ks, split="test")
     _log_eval(epochs_run, test_result, ks)
     return TrainResult(
         test_result=test_result,
@@ -322,8 +322,8 @@ def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
     if got != want:
         raise DataError(f"checkpoint (users, items, embed_dim, layers) is {got} but the dataset and config give {want}")
     ks = sorted(set(config.eval_ks))
-    res = evaluate(loaded.state, a_norm, None, ds, ks, split="test")
-    _log_eval(loaded.step, res, ks)
+    res = evaluate(loaded.state, a_norm, ds, ks, split="test")
+    _log_eval(loaded.opt.step, res, ks)
     return res
 
 
@@ -331,9 +331,10 @@ def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
 def run_svd_report(config: RunConfig):
     """Factorize the normalized graph and report the spectrum and residual.
 
-    Small problems (at most a million cells) get the exact dense residual;
-    larger ones get the energy-difference bound computed from the stored
-    entries and the returned spectrum.
+    Small problems (at most a million cells) get the dense residual; larger
+    ones get the same residual as |A|^2 - sum(s^2) off the stored entries and
+    the spectrum, since the kept factors are the orthogonal projection
+    U U.T A. Only its precision differs, when the residual is near zero.
     """
     ds, a_norm = _load_graph(config)
     factors = _factorize(config, a_norm)

@@ -4,6 +4,11 @@ All gradients are accumulated by hand in reverse through the propagation
 trace; nothing here relies on an autodiff framework. The contract is
 checked against central finite differences in the test suite.
 
+The contrast's second view is the global one: per layer, the low-rank
+reconstruction of the graph times that layer's input. Forward never
+computes it, so rankings depend on the graph alone; loss_and_grads
+rebuilds the layer inputs from the embeddings and the trace.
+
 The contrastive term's m x m softmax matrix dominates the step cost on
 real data, so loss_and_grads, the one entry point, builds it once and
 reads both the loss value and its gradients off the same intermediates.
@@ -25,7 +30,7 @@ from scipy.sparse import coo_array
 from scipy.special import expit
 
 from .errors import DataError
-from .linalg import svd_propagate
+from .linalg import SvdFactors, svd_propagate
 # spmm and spmm_t stay bound here for bench/run.py, which traces them by module
 from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, spmm, spmm_pair, spmm_t
 
@@ -214,34 +219,39 @@ def _cl_members(batch: TrainBatch, hp: HyperParams, num_users: int, num_items: i
     return np.unique(batch.users), np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
 
 
-def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams):
+def loss_and_grads(
+    trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp: HyperParams, svd: SvdFactors | None = None
+):
     """Full objective, ranking + lambda1 * contrast + lambda2 * weight norm,
     as a LossReport and both gradients off one set of intermediates.
 
-    With lambda1 == 0 the contrastive terms are not computed at all, which
-    is what lets a run skip the reconstruction branch entirely. The
+    The trace is the forward pass (with hp) that produced the loss. With
+    lambda1 == 0 the contrastive terms are not computed at all and svd is
+    not read; with lambda1 > 0 the global view goes through svd. The
     gradient walks the residual stack top-down: each running state
     collects its direct share of the final sum, the residual carry, the
     graph-propagated term from the opposite side, and (when the contrast
-    is active) the reconstruction branch's term. Needs the train-mode
-    trace that produced the loss.
+    is active) the global view's term.
     """
-    if trace.mode != "train":
-        raise ValueError("gradients need a train-mode forward trace")
-    with_view = hp.lambda1 > 0
-    if with_view and (trace.pre_g_user is None or trace.pre_g_item is None):
-        raise ValueError("lambda1 > 0 needs a trace carrying the global view")
-
-    # per side, user then item: members, contrast loss, each layer's (ga, gb) or None
+    # per side, user then item: members, view rows, contrast loss, each layer's (ga, gb) or None
     sides = []
-    pre_g = (trace.pre_g_user, trace.pre_g_item)
-    if with_view:
+    if hp.lambda1 > 0:
+        if svd is None:
+            raise ValueError("global view (lambda1 > 0) needs a factorization")
         members = _cl_members(batch, hp, state.num_users, state.num_items)
-        for mem, pre_z, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
-            z_rows = [leaky_relu(x[mem]) for x in pre_z]
-            g_rows = [leaky_relu(x[mem]) for x in pre_gs]
-            sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature)))
-    cl_u, cl_i = (sides[0][1], sides[1][1]) if sides else (0.0, 0.0)
+        # the members' view rows off each layer's input, rebuilt as forward built it
+        pre_g = ([], [])
+        hu, hv = state.e_user, state.e_item
+        for t in range(state.layers):
+            if t > 0:
+                hu, hv = leaky_relu(trace.pre_z_user[t - 1]) + hu, leaky_relu(trace.pre_z_item[t - 1]) + hv
+            pre_g[0].append(svd_propagate(svd, hv, "user")[members[0]])
+            pre_g[1].append(svd_propagate(svd, hu, "item")[members[1]])
+        for mem, pre_zs, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
+            z_rows = [leaky_relu(x[mem]) for x in pre_zs]
+            g_rows = [leaky_relu(x) for x in pre_gs]
+            sides.append((mem, pre_gs, *_contrast(z_rows, g_rows, hp.temperature)))
+    cl_u, cl_i = (sides[0][2], sides[1][2]) if sides else (0.0, 0.0)
     # after the contrast, so that its batch rows are not live during the m x m blocks
     fu, diff, margins, rec = _ranking_terms(trace, batch)
     reg = l2_reg(state)
@@ -264,25 +274,25 @@ def loss_and_grads(trace: ForwardTrace, batch: TrainBatch, state: ModelState, hp
     gu = gfu.copy()
     gv = gfv.copy()
     for t in reversed(range(state.layers)):
-        # the contrast's share of each side's layer output, then of its pre_g
+        # the contrast's share of each side's layer output, then of its view rows
         dz = [gu, gv]
         dpre_g = [None, None]
-        for s, (mem, _, grads) in enumerate(sides):
+        for s, (mem, pre_gs, _, grads) in enumerate(sides):
             if grads is None:
                 continue
             weight = hp.lambda1 / mem.shape[0]
             dz[s] = dz[s].copy()
             dz[s][mem] += grads[t][0] * weight
-            dpre_g[s] = np.zeros_like(pre_g[s][t])
-            dpre_g[s][mem] = grads[t][1] * weight * leaky_relu_grad(pre_g[s][t][mem])
+            dpre_g[s] = np.zeros_like(dz[s])
+            dpre_g[s][mem] = grads[t][1] * weight * leaky_relu_grad(pre_gs[t])
         dpre_zu = dz[0] * leaky_relu_grad(trace.pre_z_user[t])
         dpre_zv = dz[1] * leaky_relu_grad(trace.pre_z_item[t])
         down_u, down_v = spmm_pair(trace.dropped_adj[t], dpre_zv, dpre_zu)
         next_gu, next_gv = gu + gfu + down_u, gv + gfv + down_v
         if dpre_g[0] is not None:
-            next_gv += svd_propagate(trace.svd_factors, dpre_g[0], "item")
+            next_gv += svd_propagate(svd, dpre_g[0], "item")
         if dpre_g[1] is not None:
-            next_gu += svd_propagate(trace.svd_factors, dpre_g[1], "user")
+            next_gu += svd_propagate(svd, dpre_g[1], "user")
         gu, gv = next_gu, next_gv
 
     gu += 2.0 * hp.lambda2 * state.e_user

@@ -94,15 +94,14 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     return EvalResult(recall=recall, ndcg=ndcg, users_evaluated=int(users.size))
 
 
-def evaluate(state: ModelState, a_norm: csr_array, svd, ds, ks, split: str = "test") -> EvalResult:
-    """One eval-mode forward pass, then ranking metrics over held-out users.
+def evaluate(state: ModelState, a_norm: csr_array, ds, ks, split: str = "test") -> EvalResult:
+    """One deterministic forward pass, then ranking metrics over held-out users.
 
-    The reconstruction branch never enters the scores, so svd may be None.
     split picks which held-out pairs count as relevant (test by default;
     val for early-stopping checks). Training items are always masked. A
     NaN or infinite score raises NumericalError instead of being ranked.
     """
-    trace = forward(state, a_norm, svd, None, mode="eval")
+    trace = forward(state, a_norm)
     fu, fv = trace.final_user, trace.final_item
     return _ranked_metrics(ds, ks, lambda lo, hi: fu[lo:hi] @ fv.T, split=split)
 

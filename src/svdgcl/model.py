@@ -1,11 +1,8 @@
-"""Embedding tables and the two-branch propagation forward pass.
+"""Embedding tables and the graph propagation forward pass.
 
 The aggregation itself carries no weights: per layer, user states are
 refreshed from item states through the normalized graph (and vice versa),
-passed through a LeakyReLU, and added back onto the running state. A
-parallel branch propagates through the low-rank reconstruction of the
-same graph; it reads the main branch's states but never feeds back into
-them, so rankings depend on the main branch only.
+passed through a LeakyReLU, and added back onto the running state.
 """
 from __future__ import annotations
 
@@ -20,7 +17,8 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ConfigError
-from .linalg import SvdFactors, svd_propagate
+# bound here for bench/run.py, which traces it by module; nothing here calls it
+from .linalg import svd_propagate
 
 INIT_STREAM = 1
 TRAIN_STREAM = 2
@@ -138,23 +136,17 @@ class ModelState:
 class ForwardTrace:
     """What the objective reads back from one forward pass.
 
-    Per-layer lists run 0..layers-1: the pre-activations of the graph
-    branch (pre_z) and of the reconstruction branch (pre_g), and the
+    Per-layer lists run 0..layers-1: the pre-activations pre_z and the
     dropped adjacency each layer propagated through. Layer outputs are
     leaky_relu of the pre-activations and are not stored; the objective
-    applies it to the rows it reads. The pre_g lists and svd_factors are
-    None when the reconstruction branch was skipped.
+    applies it to the rows it reads.
     """
 
-    mode: str
     final_user: np.ndarray | None = None
     final_item: np.ndarray | None = None
     dropped_adj: list = field(default_factory=list)
     pre_z_user: list = field(default_factory=list)
     pre_z_item: list = field(default_factory=list)
-    pre_g_user: list | None = None
-    pre_g_item: list | None = None
-    svd_factors: SvdFactors | None = None
 
 
 def init_model(ds, hp: HyperParams) -> ModelState:
@@ -233,37 +225,24 @@ def edge_dropout(a: csr_array, p: float, rng: np.random.Generator):
 def forward(
     state: ModelState,
     a_norm: csr_array,
-    svd: SvdFactors | None = None,
     hp: HyperParams | None = None,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
     """Run the propagation stack and capture what the objective needs.
 
-    Train mode needs hp and draws dropout masks from rng, or from state.rng
-    when rng is None; two generators seeded alike replay the same masks. It
-    runs the global view through svd exactly when hp.lambda1 > 0. Eval mode
-    drops nothing and skips the view. The final tables are the running
+    Given hp, each layer drops edges at hp.dropout_p, drawing the masks from
+    rng, or from state.rng when rng is None; two generators seeded alike
+    replay the same masks. Without hp nothing is dropped: the deterministic
+    pass that evaluation ranks with. The final tables are the running
     states summed in layer order, embeddings first.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if a_norm.shape != (state.num_users, state.num_items):
         raise ValueError(
             f"graph is {a_norm.shape[0]}x{a_norm.shape[1]} but tables are "
             f"{state.num_users}x{state.num_items}"
         )
-    if mode == "train" and hp is None:
-        raise ValueError("train-mode forward needs hyperparameters")
-    p = hp.dropout_p if mode == "train" else 0.0
-    with_global_view = mode == "train" and hp.lambda1 > 0
-    if with_global_view and svd is None:
-        raise ValueError("global view (lambda1 > 0) needs a factorization")
-
-    trace = ForwardTrace(mode=mode)
-    if with_global_view:
-        trace.pre_g_user, trace.pre_g_item = [], []
-        trace.svd_factors = svd
+    p = hp.dropout_p if hp is not None else 0.0
+    trace = ForwardTrace()
     draw = rng if rng is not None else state.rng
     hu, hv = state.e_user, state.e_item
     fu, fv = hu.copy(), hv.copy()
@@ -273,9 +252,6 @@ def forward(
         pre_zu, pre_zv = spmm_pair(dropped, hv, hu)
         trace.pre_z_user.append(pre_zu)
         trace.pre_z_item.append(pre_zv)
-        if with_global_view:
-            trace.pre_g_user.append(svd_propagate(svd, hv, "user"))
-            trace.pre_g_item.append(svd_propagate(svd, hu, "item"))
         hu, hv = leaky_relu(pre_zu) + hu, leaky_relu(pre_zv) + hv
         fu += hu
         fv += hv

@@ -131,12 +131,12 @@ def test_criterion_03_gradient_correctness(capsys):
     svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=0)
     batch = sample_batch(ds, 8, np.random.default_rng(0))
     # every forward draws its dropout masks from a generator seeded alike
-    trace = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(420))
-    _, gu, gi = loss_and_grads(trace, batch, state, hp)
+    trace = forward(state, a, hp=hp, rng=np.random.default_rng(420))
+    _, gu, gi = loss_and_grads(trace, batch, state, hp, svd)
 
     def loss_at():
-        t = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(420))
-        return loss_and_grads(t, batch, state, hp)[0].total
+        t = forward(state, a, hp=hp, rng=np.random.default_rng(420))
+        return loss_and_grads(t, batch, state, hp, svd)[0].total
 
     h = 1e-5
     worst = 0.0
@@ -168,12 +168,12 @@ def test_criterion_04_loss_identities(capsys):
     hp = HyperParams(embed_dim=6, layers=2, svd_rank=2, dropout_p=0.0, lambda1=0.3, seed=4)
     state = init_model(ds, hp)
     svd = approx_svd(a, 2, oversample=2, power_iters=2, seed=4)
-    trace = forward(state, a, svd=svd, hp=hp, mode="train")
+    trace = forward(state, a, hp=hp)
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(1000):
         batch = sample_batch(ds, int(rng.integers(2, 33)), rng)
-        rep = loss_and_grads(trace, batch, state, hp)[0]
+        rep = loss_and_grads(trace, batch, state, hp, svd)[0]
         recombined = (
             rep.rec_loss
             + hp.lambda1 * (rep.cl_loss_user + rep.cl_loss_item)

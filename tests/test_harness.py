@@ -509,8 +509,8 @@ class TestTraining:
             opts.append(real_init(state))
             return opts[-1]
 
-        def nan_on_third_call(trace, batch, state, hp):
-            report, gu, gv = real_grads(trace, batch, state, hp)
+        def nan_on_third_call(trace, batch, state, hp, svd):
+            report, gu, gv = real_grads(trace, batch, state, hp, svd)
             seen["calls"] = seen.get("calls", 0) + 1
             if seen["calls"] == 3:
                 opt = opts[0]

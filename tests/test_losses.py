@@ -68,7 +68,7 @@ def nce_oracle(z_layers, g_layers, members, tau):
 
 
 def trace_from_finals(fu, fi):
-    return ForwardTrace(mode="train", final_user=np.asarray(fu, float), final_item=np.asarray(fi, float))
+    return ForwardTrace(final_user=np.asarray(fu, float), final_item=np.asarray(fi, float))
 
 
 class TestTrainBatch:
@@ -480,8 +480,8 @@ def build_setup(cl_scope="in-batch", lambda1=0.3, dropout_p=0.0, layers=2, seed=
 class TestObjective:
     def test_report_decomposition(self):
         ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, svd=svd, hp=hp, mode="train")
-        report = loss_and_grads(trace, batch, state, hp)[0]
+        trace = forward(state, a, hp=hp)
+        report = loss_and_grads(trace, batch, state, hp, svd)[0]
         recombined = (
             report.rec_loss
             + hp.lambda1 * (report.cl_loss_user + report.cl_loss_item)
@@ -492,8 +492,8 @@ class TestObjective:
 
     def test_terms_match_standalone_functions(self):
         ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, svd=svd, hp=hp, mode="train")
-        report = loss_and_grads(trace, batch, state, hp)[0]
+        trace = forward(state, a, hp=hp)
+        report = loss_and_grads(trace, batch, state, hp, svd)[0]
         assert abs(report.rec_loss - bpr_loss(trace, batch)) < 1e-12
         assert abs(report.reg_loss - l2_reg(state)) < 1e-9
         members_u = np.unique(batch.users)
@@ -510,27 +510,21 @@ class TestObjective:
 
     def test_lambda1_zero_skips_contrast(self):
         ds, a, hp, state, svd, batch = build_setup(lambda1=0.0)
-        trace = forward(state, a, hp=hp, mode="train")
-        report = loss_and_grads(trace, batch, state, hp)[0]
+        trace = forward(state, a, hp=hp)
+        report = loss_and_grads(trace, batch, state, hp, svd)[0]
         assert report.cl_loss_user == 0.0 and report.cl_loss_item == 0.0
-
-    def test_eval_trace_rejected_for_grads(self):
-        ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, svd=svd)
-        with pytest.raises(ValueError, match="train-mode"):
-            loss_and_grads(trace, batch, state, hp)
 
     def test_missing_view_rejected(self):
         ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, hp=dataclasses.replace(hp, lambda1=0.0), mode="train")
-        with pytest.raises(ValueError, match="global view"):
+        trace = forward(state, a, hp=hp)
+        with pytest.raises(ValueError, match=r"global view \(lambda1 > 0\) needs a factorization"):
             loss_and_grads(trace, batch, state, hp)
 
     def test_loss_and_grads_repeat_and_keep_the_trace(self):
         ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, svd=svd, hp=hp, mode="train")
-        report, gu, gi = loss_and_grads(trace, batch, state, hp)
-        again, gu2, gi2 = loss_and_grads(trace, batch, state, hp)
+        trace = forward(state, a, hp=hp)
+        report, gu, gi = loss_and_grads(trace, batch, state, hp, svd)
+        again, gu2, gi2 = loss_and_grads(trace, batch, state, hp, svd)
         assert report == again
         assert gu.tobytes() == gu2.tobytes() and gi.tobytes() == gi2.tobytes()
         assert gu.shape == state.e_user.shape
@@ -547,13 +541,13 @@ class TestPairedProductsKeepTheBytes:
         state = init_model(ds, hp)
         svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=4) if lambda1 > 0 else None
         batch = sample_batch(ds, 512, np.random.default_rng(4))
-        trace = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(5))
+        trace = forward(state, a, hp=hp, rng=np.random.default_rng(5))
         want = forward_keeping_lists(state, a, svd, hp, "train", np.random.default_rng(5), lambda1 > 0)
         assert trace.final_user.tobytes() == want["final_user"].tobytes()
         assert trace.final_item.tobytes() == want["final_item"].tobytes()
-        report, gu, gv = loss_and_grads(trace, batch, state, hp)
+        report, gu, gv = loss_and_grads(trace, batch, state, hp, svd)
         monkeypatch.setattr(losses, "spmm_pair", spmm_pair_serial)
-        want_report, want_gu, want_gv = loss_and_grads(trace, batch, state, hp)
+        want_report, want_gu, want_gv = loss_and_grads(trace, batch, state, hp, svd)
         assert report == want_report
         assert gu.tobytes() == want_gu.tobytes() and gv.tobytes() == want_gv.tobytes()
 
@@ -569,8 +563,8 @@ class TestObjectiveMatchesTheCarriedView:
     @pytest.mark.parametrize("lambda1", [0.0, 0.3])
     def test_report_and_gradient_bytes(self, layers, dropout_p, cl_scope, lambda1):
         ds, a, hp, state, svd, batch = build_setup(cl_scope, lambda1, dropout_p, layers, seed=20 + layers)
-        trace = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(5))
-        report, gu, gv = loss_and_grads(trace, batch, state, hp)
+        trace = forward(state, a, hp=hp, rng=np.random.default_rng(5))
+        report, gu, gv = loss_and_grads(trace, batch, state, hp, svd)
         kept = forward_keeping_lists(state, a, svd, hp, "train", np.random.default_rng(5), lambda1 > 0)
         want_report, want_gu, want_gv = loss_and_grads_carried_view(trace, batch, state, hp, svd, kept)
         assert report == want_report
@@ -583,12 +577,12 @@ def worst_fd_error(state, a, svd, hp, batch, seed, floor=1e-8):
     draws its dropout masks from a generator seeded with seed; a gap is
     relative to the larger of the two slopes, or to floor when both are
     smaller."""
-    trace = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(seed))
-    _, gu, gi = loss_and_grads(trace, batch, state, hp)
+    trace = forward(state, a, hp=hp, rng=np.random.default_rng(seed))
+    _, gu, gi = loss_and_grads(trace, batch, state, hp, svd)
 
     def loss_at():
-        t = forward(state, a, svd=svd, hp=hp, mode="train", rng=np.random.default_rng(seed))
-        return loss_and_grads(t, batch, state, hp)[0].total
+        t = forward(state, a, hp=hp, rng=np.random.default_rng(seed))
+        return loss_and_grads(t, batch, state, hp, svd)[0].total
 
     h = 1e-5
     worst = 0.0

@@ -18,6 +18,7 @@ from scipy.sparse import csr_array
 from svdgcl.errors import ConfigError
 from svdgcl.interactions import build_adjacency, normalize_adjacency
 from svdgcl.linalg import approx_svd
+from svdgcl.losses import TrainBatch, loss_and_grads
 from svdgcl.model import (
     LEAKY_SLOPE,
     HyperParams,
@@ -27,7 +28,7 @@ from svdgcl.model import (
     leaky_relu,
     leaky_relu_grad,
 )
-from tests.util import forward_keeping_lists, src_env, tiny_dataset
+from tests.util import forward_keeping_lists, objective_view_tables, src_env, tiny_dataset
 
 
 def slope(x):
@@ -175,13 +176,13 @@ class TestEdgeDropout:
         a = normalize_adjacency(build_adjacency(ds))
         hp = HyperParams(embed_dim=3, layers=2, dropout_p=0.4, lambda1=0.0, seed=4)
         state = init_model(ds, hp)
-        t1 = forward(state, a, hp=hp, mode="train", rng=np.random.default_rng(9))
-        t2 = forward(state, a, hp=hp, mode="train", rng=np.random.default_rng(9))
+        t1 = forward(state, a, hp=hp, rng=np.random.default_rng(9))
+        t2 = forward(state, a, hp=hp, rng=np.random.default_rng(9))
         for drawn, replayed in zip(t1.dropped_adj, t2.dropped_adj):
             for name in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(drawn, name), getattr(replayed, name))
         dropped, keep = edge_dropout(a, 0.4, np.random.default_rng(4))
-        replay = forward(state, a, hp=hp, mode="train", rng=np.random.default_rng(4)).dropped_adj[0]
+        replay = forward(state, a, hp=hp, rng=np.random.default_rng(4)).dropped_adj[0]
         np.testing.assert_array_equal(dropped.data, replay.data)
         assert not np.array_equal(t1.dropped_adj[0].data, replay.data)
 
@@ -203,81 +204,78 @@ class TestForward:
         fu, fi, _, _ = dense_forward(self.state, self.a.toarray(), None, 3, False)
         np.testing.assert_allclose(trace.final_user, fu, atol=1e-10)
         np.testing.assert_allclose(trace.final_item, fi, atol=1e-10)
-        assert trace.pre_g_user is None and trace.pre_g_item is None and trace.svd_factors is None
         assert len(trace.pre_z_user) == len(trace.pre_z_item) == len(trace.dropped_adj) == 3
         assert all(d is self.a for d in trace.dropped_adj)
 
     def test_train_with_view_matches_dense_reference(self):
-        trace = forward(self.state, self.a, svd=self.svd, hp=self.hp, mode="train")
+        # the objective's view tables off this trace
+        trace = forward(self.state, self.a, hp=self.hp)
         recon = self.svd.reconstruct()
         fu, fi, gu, gi = dense_forward(self.state, self.a.toarray(), recon, 3, True)
         np.testing.assert_allclose(trace.final_user, fu, atol=1e-10)
         np.testing.assert_allclose(trace.final_item, fi, atol=1e-10)
-        for got, want in zip(trace.pre_g_user, gu):
+        view_u, view_i = objective_view_tables(trace, self.state, self.hp, self.svd)
+        for got, want in zip(view_u, gu):
             np.testing.assert_allclose(leaky_relu(got), want, atol=1e-10)
-        for got, want in zip(trace.pre_g_item, gi):
+        for got, want in zip(view_i, gi):
             np.testing.assert_allclose(leaky_relu(got), want, atol=1e-10)
-        assert trace.svd_factors is self.svd
 
     def test_view_never_feeds_predictions(self):
-        # same weights, view on and off: identical finals
-        t1 = forward(self.state, self.a, svd=self.svd, hp=self.hp, mode="train")
-        t2 = forward(self.state, self.a, hp=dataclasses.replace(self.hp, lambda1=0.0), mode="train")
-        assert t2.pre_g_user is None
+        # forward reads no lambda1, and the objective, which runs the view,
+        # leaves the trace's finals as they were
+        t1 = forward(self.state, self.a, hp=self.hp)
+        t2 = forward(self.state, self.a, hp=dataclasses.replace(self.hp, lambda1=0.0))
         np.testing.assert_array_equal(t1.final_user, t2.final_user)
         np.testing.assert_array_equal(t1.final_item, t2.final_item)
+        finals = t1.final_user.tobytes(), t1.final_item.tobytes()
+        batch = TrainBatch(np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([4, 5, 6]))
+        loss_and_grads(t1, batch, self.state, self.hp, self.svd)
+        assert (t1.final_user.tobytes(), t1.final_item.tobytes()) == finals
 
     def test_dropout_masks_replay(self):
         # a copy of the train stream replays the draw; the stream itself advances
         hp = HyperParams(embed_dim=6, layers=2, svd_rank=2, dropout_p=0.5, seed=3)
         state = init_model(self.ds, hp)
         replay = copy.deepcopy(state.rng)
-        t1 = forward(state, self.a, svd=self.svd, hp=hp, mode="train")
-        t2 = forward(state, self.a, svd=self.svd, hp=hp, mode="train", rng=replay)
+        t1 = forward(state, self.a, hp=hp)
+        t2 = forward(state, self.a, hp=hp, rng=replay)
         np.testing.assert_array_equal(t1.final_user, t2.final_user)
         np.testing.assert_array_equal(t1.final_item, t2.final_item)
         assert len(t1.dropped_adj) == 2
         # train rng advanced, so a fresh draw differs
-        t3 = forward(state, self.a, svd=self.svd, hp=hp, mode="train")
+        t3 = forward(state, self.a, hp=hp)
         assert not np.array_equal(t1.final_user, t3.final_user)
 
     def test_replay_generator_leaves_the_train_stream(self):
         hp = HyperParams(embed_dim=6, layers=2, svd_rank=2, dropout_p=0.5, seed=3)
         state = init_model(self.ds, hp)
         untouched = copy.deepcopy(state.rng)
-        forward(state, self.a, svd=self.svd, hp=hp, mode="train", rng=np.random.default_rng(0))
+        forward(state, self.a, hp=hp, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(state.rng.random(8), untouched.random(8))
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
     @pytest.mark.parametrize("with_view", [True, False])
     def test_bytes_match_list_keeping_forward(self, layers, dropout_p, with_view):
+        # with the view, the objective's view tables, rebuilt from the trace,
+        # have the bytes of the frozen forward's
         hp = HyperParams(embed_dim=6, layers=layers, svd_rank=2, dropout_p=dropout_p, seed=3)
         state = init_model(self.ds, hp)
         if not with_view:
             hp = dataclasses.replace(hp, lambda1=0.0)
-        trace = forward(state, self.a, svd=self.svd, hp=hp, mode="train", rng=np.random.default_rng(5))
+        trace = forward(state, self.a, hp=hp, rng=np.random.default_rng(5))
         want = forward_keeping_lists(state, self.a, self.svd, hp, "train", np.random.default_rng(5), with_view)
         assert trace.final_user.tobytes() == want["final_user"].tobytes()
         assert trace.final_item.tobytes() == want["final_item"].tobytes()
-        names = ["pre_z_user", "pre_z_item"] + (["pre_g_user", "pre_g_item"] if with_view else [])
-        for name in names:
-            got = getattr(trace, name)
-            assert len(got) == layers
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want[name])), name
-        if not with_view:
-            assert trace.pre_g_user is None and trace.pre_g_item is None
+        got = {"pre_z_user": trace.pre_z_user, "pre_z_item": trace.pre_z_item}
+        if with_view:
+            got["pre_g_user"], got["pre_g_item"] = objective_view_tables(trace, state, hp, self.svd)
+        for name, lists in got.items():
+            assert len(lists) == layers
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(lists, want[name])), name
         for got, w in zip(trace.dropped_adj, want["dropped"]):
             assert got.data.tobytes() == w.data.tobytes()
             assert got.indices.tobytes() == w.indices.tobytes() and got.indptr.tobytes() == w.indptr.tobytes()
-
-    def test_mode_and_requirement_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            forward(self.state, self.a, mode="predict")
-        with pytest.raises(ValueError, match="hyperparameters"):
-            forward(self.state, self.a, mode="train")
-        with pytest.raises(ValueError, match="factorization"):
-            forward(self.state, self.a, hp=self.hp, mode="train")
 
     def test_dimension_mismatch_rejected(self):
         other = pairs_matrix(2, 2, [0], [0])

@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the unit tests."""
 
+import dataclasses
 import logging
 import os
 from pathlib import Path
@@ -9,6 +10,7 @@ from scipy.sparse import csr_array
 from scipy.special import expit
 
 from svdgcl.errors import DataError, ParseError
+from svdgcl import losses
 from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
 from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
 from svdgcl.losses import (
@@ -20,6 +22,7 @@ from svdgcl.losses import (
     _ranking_terms,
     _scatter_rows,
     l2_reg,
+    loss_and_grads,
 )
 from svdgcl.model import leaky_relu, leaky_relu_grad, spmm, spmm_pair, spmm_t
 
@@ -383,6 +386,28 @@ def loss_and_grads_carried_view(trace, batch, state, hp, svd, kept):
     gu += 2.0 * hp.lambda2 * state.e_user
     gv += 2.0 * hp.lambda2 * state.e_item
     return report, gu, gv
+
+
+def objective_view_tables(trace, state, hp, svd):
+    """Each layer's global-view pre-activations of every user and every item,
+    as loss_and_grads computes them off trace: the returns of its first
+    2 * layers calls of losses.svd_propagate, a user table then an item table
+    per layer, in the full-population scope. hp.lambda1 must be positive."""
+    seen = []
+
+    def keep(f, h, side):
+        seen.append(svd_propagate(f, h, side))
+        return seen[-1]
+
+    hp = dataclasses.replace(hp, cl_scope="full-population")
+    batch = TrainBatch(np.array([0]), np.array([0]), np.array([0]))
+    real, losses.svd_propagate = losses.svd_propagate, keep
+    try:
+        loss_and_grads(trace, batch, state, hp, svd)
+    finally:
+        losses.svd_propagate = real
+    views = seen[: 2 * state.layers]
+    return views[0::2], views[1::2]
 
 
 def holdout_validation_user_scan(train, test, fraction, seed):
