@@ -54,7 +54,7 @@ try:
     print("== the metrics, from evaluate ==")
     ds = load_interactions(paths["train"], paths["test"], paths["val"])
     a = normalize_adjacency(build_adjacency(ds))
-    res = evaluate(ck.state, a, ds, [5])
+    res = evaluate(ck.state, a, None, ds, [5])
     print(f"recall@5 = {res.recall[5]:.4f}, ndcg@5 = {res.ndcg[5]:.4f} over {res.users_evaluated} test users")
     print(f"same as the reload's numbers: {res == replay}")
 

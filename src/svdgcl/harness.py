@@ -269,7 +269,7 @@ def run_training(config: RunConfig) -> TrainResult:
         )
         epochs_run = epoch
         if val_available and epoch % config.eval_every == 0:
-            res = evaluate(state, a_norm, ds, ks, split="val")
+            res = evaluate(state, a_norm, None, ds, ks, split="val")
             _log_eval(epoch, res, ks)
             metric = res.recall[primary]
             if metric > best_metric:
@@ -295,7 +295,7 @@ def run_training(config: RunConfig) -> TrainResult:
             save_checkpoint(ckpt_path, state, opt, config.svd_rank, config.digest())
         checkpoint_used = str(ckpt_path)
 
-    test_result = evaluate(state, a_norm, ds, ks, split="test")
+    test_result = evaluate(state, a_norm, None, ds, ks, split="test")
     _log_eval(epochs_run, test_result, ks)
     return TrainResult(
         test_result=test_result,
@@ -322,7 +322,7 @@ def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
     if got != want:
         raise DataError(f"checkpoint (users, items, embed_dim, layers) is {got} but the dataset and config give {want}")
     ks = sorted(set(config.eval_ks))
-    res = evaluate(loaded.state, a_norm, ds, ks, split="test")
+    res = evaluate(loaded.state, a_norm, None, ds, ks, split="test")
     _log_eval(loaded.opt.step, res, ks)
     return res
 

@@ -31,8 +31,9 @@ from scipy.special import expit
 
 from .errors import DataError
 from .linalg import SvdFactors, svd_propagate
-# spmm and spmm_t stay bound here for bench/run.py, which traces them by module
-from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, spmm, spmm_pair, spmm_t
+from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, next_state, spmm_pair
+# bound here for bench/run.py, which traces them by module; nothing here calls them
+from .model import spmm, spmm_t
 
 logger = logging.getLogger("svdgcl.objective")
 
@@ -244,7 +245,7 @@ def loss_and_grads(
         hu, hv = state.e_user, state.e_item
         for t in range(state.layers):
             if t > 0:
-                hu, hv = leaky_relu(trace.pre_z_user[t - 1]) + hu, leaky_relu(trace.pre_z_item[t - 1]) + hv
+                hu, hv = next_state(trace.pre_z_user[t - 1], hu), next_state(trace.pre_z_item[t - 1], hv)
             pre_g[0].append(svd_propagate(svd, hv, "user")[members[0]])
             pre_g[1].append(svd_propagate(svd, hu, "item")[members[1]])
         for mem, pre_zs, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):

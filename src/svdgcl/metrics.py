@@ -94,9 +94,12 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     return EvalResult(recall=recall, ndcg=ndcg, users_evaluated=int(users.size))
 
 
-def evaluate(state: ModelState, a_norm: csr_array, ds, ks, split: str = "test") -> EvalResult:
+def evaluate(state: ModelState, a_norm: csr_array, svd, ds, ks, split: str = "test") -> EvalResult:
     """One deterministic forward pass, then ranking metrics over held-out users.
 
+    svd is not read: the scores come from the graph alone. The slot stays
+    because bench/test_bench.py passes it; it goes with the next benchmark
+    change.
     split picks which held-out pairs count as relevant (test by default;
     val for early-stopping checks). Training items are always masked. A
     NaN or infinite score raises NumericalError instead of being ranked.

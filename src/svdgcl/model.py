@@ -171,6 +171,11 @@ def leaky_relu_grad(x: np.ndarray, negative_slope: float = LEAKY_SLOPE) -> np.nd
     return np.where(x >= 0, 1.0, negative_slope)
 
 
+def next_state(pre_z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A layer's output added back onto its input: the next layer's input."""
+    return leaky_relu(pre_z) + h
+
+
 def spmm(a: csr_array, b: np.ndarray) -> np.ndarray:
     """Dense product a @ b for a sparse a and a dense (cols, d) array b."""
     return a @ b
@@ -252,7 +257,7 @@ def forward(
         pre_zu, pre_zv = spmm_pair(dropped, hv, hu)
         trace.pre_z_user.append(pre_zu)
         trace.pre_z_item.append(pre_zv)
-        hu, hv = leaky_relu(pre_zu) + hu, leaky_relu(pre_zv) + hv
+        hu, hv = next_state(pre_zu, hu), next_state(pre_zv, hv)
         fu += hu
         fv += hv
     trace.final_user, trace.final_item = fu, fv

@@ -135,7 +135,7 @@ class TestEvaluate:
         ds = tiny_dataset()
         a = normalize_adjacency(build_adjacency(ds))
         state = init_model(ds, HyperParams(embed_dim=6, layers=2, seed=2))
-        res = evaluate(state, a, ds, ks=[2, 5])
+        res = evaluate(state, a, None, ds, ks=[2, 5])
         assert isinstance(res, EvalResult)
         assert res.users_evaluated == ds.num_users
 
@@ -158,7 +158,7 @@ class TestEvaluate:
         ds = tiny_dataset()
         a = normalize_adjacency(build_adjacency(ds))
         state = init_model(ds, HyperParams(embed_dim=6, seed=2))
-        res = evaluate(state, a, ds, ks=[3], split="val")
+        res = evaluate(state, a, None, ds, ks=[3], split="val")
         assert 0.0 <= res.recall[3] <= 1.0
 
     def test_bad_cutoffs_rejected(self):
@@ -166,7 +166,7 @@ class TestEvaluate:
         a = normalize_adjacency(build_adjacency(ds))
         state = init_model(ds, HyperParams(embed_dim=4, seed=0))
         with pytest.raises(ValueError):
-            evaluate(state, a, ds, ks=[0])
+            evaluate(state, a, None, ds, ks=[0])
 
 
 class TestPopularity:
@@ -249,7 +249,7 @@ class TestBlockedEngineMatchesLoop:
         ds = tiny_dataset()
         a = normalize_adjacency(build_adjacency(ds))
         state = init_model(ds, HyperParams(embed_dim=6, layers=2, seed=2))
-        assert evaluate(state, a, ds, self.KS, split=split) == loop_result(state, a, ds, self.KS, split)
+        assert evaluate(state, a, None, ds, self.KS, split=split) == loop_result(state, a, ds, self.KS, split)
 
     @pytest.mark.parametrize("rows", [1, 4, None])
     @pytest.mark.parametrize("split", ["test", "val"])
@@ -266,7 +266,7 @@ class TestBlockedEngineMatchesLoop:
         assert all(np.unique(row).size < row.size for row in scores)
         held = np.bincount(getattr(ds, "validation" if split == "val" else split)[:, 0], minlength=ds.num_users)
         assert held.max() > 1 and (held == 0).any()
-        got = evaluate(state, a, ds, self.KS, split=split)
+        got = evaluate(state, a, None, ds, self.KS, split=split)
         assert got == loop_result(state, a, ds, self.KS, split)
         assert got.users_evaluated == np.count_nonzero(held)
 
@@ -277,7 +277,7 @@ class TestBlockedEngineMatchesLoop:
         ds = random_dataset(seed, num_users=30, num_items=60, max_held=12)
         a = normalize_adjacency(build_adjacency(ds))
         for state in (integer_state(ds, seed), init_model(ds, HyperParams(embed_dim=4, layers=1, seed=seed))):
-            assert evaluate(state, a, ds, [5, 20, 50]) == loop_result(state, a, ds, [5, 20, 50])
+            assert evaluate(state, a, None, ds, [5, 20, 50]) == loop_result(state, a, ds, [5, 20, 50])
 
     @pytest.mark.parametrize("rows", [3, None])
     def test_popularity(self, rows, monkeypatch):
@@ -291,7 +291,7 @@ class TestBlockedEngineMatchesLoop:
         ds = random_dataset(3)
         a = normalize_adjacency(build_adjacency(ds))
         state = integer_state(ds, 3)
-        got = evaluate(state, a, ds, [10, 1, 10, 3, 1])
+        got = evaluate(state, a, None, ds, [10, 1, 10, 3, 1])
         assert got == loop_result(state, a, ds, [1, 3, 10])
         assert list(got.recall) == [1, 3, 10]
         assert max(got.recall.values()) <= 1.0 and max(got.ndcg.values()) <= 1.0
@@ -301,7 +301,7 @@ class TestBlockedEngineMatchesLoop:
         empty = InteractionDataset(ds.num_users, ds.num_items, ds.train, np.empty((0, 2), dtype=np.int64), ds.test)
         state = integer_state(empty, 5)
         a = normalize_adjacency(build_adjacency(empty))
-        got = evaluate(state, a, empty, [2, 5], split="val")
+        got = evaluate(state, a, None, empty, [2, 5], split="val")
         assert got == EvalResult(recall={2: 0.0, 5: 0.0}, ndcg={2: 0.0, 5: 0.0}, users_evaluated=0)
         assert got == loop_result(state, a, empty, [2, 5], split="val")
 
@@ -326,4 +326,4 @@ class TestBlockedEngineMatchesLoop:
         state = init_model(ds, HyperParams(embed_dim=4, seed=0))
         state.e_item[3] = np.nan
         with pytest.raises(NumericalError, match="non-finite scores"):
-            evaluate(state, a, ds, [3])
+            evaluate(state, a, None, ds, [3])

@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.sparse import csr_array
 from scipy.special import expit
 
@@ -401,11 +402,9 @@ def objective_view_tables(trace, state, hp, svd):
 
     hp = dataclasses.replace(hp, cl_scope="full-population")
     batch = TrainBatch(np.array([0]), np.array([0]), np.array([0]))
-    real, losses.svd_propagate = losses.svd_propagate, keep
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(losses, "svd_propagate", keep)
         loss_and_grads(trace, batch, state, hp, svd)
-    finally:
-        losses.svd_propagate = real
     views = seen[: 2 * state.layers]
     return views[0::2], views[1::2]
 
