@@ -26,7 +26,6 @@ from .linalg import (
 from .losses import (
     LossReport,
     TrainBatch,
-    bpr_loss,
     l2_reg,
     loss_and_grads,
     sample_batch,
@@ -72,7 +71,6 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "approx_svd",
-    "bpr_loss",
     "build_adjacency",
     "edge_dropout",
     "evaluate",

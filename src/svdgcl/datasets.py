@@ -3,8 +3,9 @@
 The raw u.data file is tab-separated ``user item rating timestamp``; every
 rating counts as an implicit interaction here. prepare_movielens_100k
 reads it with the pair-file reader (fields past the second are ignored,
-``#`` lines skipped, a repeated pair kept once) and writes the pair files
-the rest of the package ingests, with a seeded per-user 80/10/10 split.
+``#`` lines skipped, a repeated pair kept once), splits the index rows it
+gets with a seeded per-user 80/10/10 split, and writes them through the
+pair writer with the index-to-id tables.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .interactions import _read_pairs, _write_pairs
+from .interactions import _read_pairs, _warm_start, _write_pairs
 
 ML100K_URL = "https://files.grouplens.org/datasets/movielens/ml-100k.zip"
 ML100K_ENV_VAR = "SVDGCL_ML100K"
@@ -65,9 +66,10 @@ def prepare_movielens_100k(u_data_path, out_dir, seed: int = 42, ratios=(0.8, 0.
     """Split the ratings into train/val/test pair files; returns the paths.
 
     The split is per user: a seeded permutation of each user's items feeds
-    the test then validation shares (floored), the rest stays in train. A
-    repair pass then pulls any held-out pair back into train if its item
-    would otherwise never be trained on, so the warm-start protocol holds.
+    the test then validation shares (floored), the rest stays in train.
+    Then, of each held-out item with no train pair, the first held-out pair
+    (validation before test) moves to the end of train, so the warm-start
+    protocol holds.
     """
     if len(ratios) != 3 or min(ratios) < 0 or sum(ratios) > 1.0 + 1e-9 or ratios[0] <= 0:
         raise ConfigError(f"bad split ratios {ratios}")
@@ -75,47 +77,29 @@ def prepare_movielens_100k(u_data_path, out_dir, seed: int = 42, ratios=(0.8, 0.
     item_map: dict[str, int] = {}
     rows = _read_pairs(u_data_path, user_map, item_map)
     users, items = list(user_map), list(item_map)
-    by_user: dict[str, list[str]] = {}
-    for u, i in rows.tolist():
-        by_user.setdefault(users[u], []).append(items[i])
-
+    # users by (len(id), id), each user's rows in file order
+    rank = np.argsort(sorted(range(len(users)), key=lambda u: (len(users[u]), users[u])))
+    key = rank[rows[:, 0]]
+    rows = rows[np.argsort(key, kind="stable")]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, PREP_STREAM])))
-    train: list[tuple[str, str]] = []
-    val: list[tuple[str, str]] = []
-    test: list[tuple[str, str]] = []
-    for user in sorted(by_user, key=lambda u: (len(u), u)):
-        items = by_user[user]
-        n = len(items)
+    label = np.zeros(rows.shape[0], dtype=np.int8)  # 0 train, 1 val, 2 test
+    at = 0
+    for n in np.bincount(key, minlength=len(users)).tolist():
         n_test = int(np.floor(ratios[2] * n))
         n_val = int(np.floor(ratios[1] * n))
-        perm = rng.permutation(n)
-        test_idx = set(perm[:n_test].tolist())
-        val_idx = set(perm[n_test : n_test + n_val].tolist())
-        for pos, item in enumerate(items):
-            if pos in test_idx:
-                test.append((user, item))
-            elif pos in val_idx:
-                val.append((user, item))
-            else:
-                train.append((user, item))
-
-    # warm-start repair: held-out pairs of never-trained items go back to train
-    train_count: dict[str, int] = {}
-    for _, item in train:
-        train_count[item] = train_count.get(item, 0) + 1
-    for split in (val, test):
-        kept = []
-        for user, item in split:
-            if train_count.get(item, 0) == 0:
-                train.append((user, item))
-                train_count[item] = 1
-            else:
-                kept.append((user, item))
-        split[:] = kept
+        perm = at + rng.permutation(n)
+        label[perm[:n_test]] = 2
+        label[perm[n_test : n_test + n_val]] = 1
+        at += n
+    train, val, test = (rows[label == k] for k in range(3))
+    held = np.concatenate([val, test])
+    back = _warm_start(train[:, 1], held[:, 1], held[:, 1])
+    train = np.concatenate([train, held[back]])
+    val, test = val[~back[: val.shape[0]]], test[~back[val.shape[0] :]]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / f"{name}.txt" for name in ("train", "val", "test")}
-    for path, pairs in zip(paths.values(), (train, val, test)):
-        _write_pairs(path, pairs)
+    for path, split_rows in zip(paths.values(), (train, val, test)):
+        _write_pairs(path, split_rows.tolist(), users, items)
     return paths

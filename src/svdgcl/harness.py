@@ -34,6 +34,8 @@ from .optim import adam_step, init_optimizer
 logger = logging.getLogger("svdgcl.run")
 
 LOG_ENV_VAR = "SVDGCL_LOG"
+# run_svd_report's largest graph, in user x item cells, that gets the dense residual
+DENSE_RESIDUAL_CELLS = 1_000_000
 
 _PATH_FIELDS = ("train_path", "test_path", "val_path", "checkpoint_dir", "log_path")
 
@@ -331,7 +333,7 @@ def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
 def run_svd_report(config: RunConfig):
     """Factorize the normalized graph and report the spectrum and residual.
 
-    Small problems (at most a million cells) get the dense residual; larger
+    Small problems (at most DENSE_RESIDUAL_CELLS) get the dense residual; larger
     ones get the same residual as |A|^2 - sum(s^2) off the stored entries and
     the spectrum, since the kept factors are the orthogonal projection
     U U.T A. Only its precision differs, when the residual is near zero.
@@ -340,7 +342,7 @@ def run_svd_report(config: RunConfig):
     factors = _factorize(config, a_norm)
     logger.info("singular_values %s", " ".join(f"{x:.12g}" for x in factors.s_r))
     fro2 = float(np.sum(a_norm.data**2))
-    if ds.num_users * ds.num_items <= 1_000_000:
+    if ds.num_users * ds.num_items <= DENSE_RESIDUAL_CELLS:
         dense = a_norm.toarray()
         resid = np.linalg.norm(dense - factors.reconstruct()) / np.linalg.norm(dense)
         logger.info("residual_rel=%.12g method=dense", resid)

@@ -5,9 +5,11 @@ Pair files are whitespace-separated ``user item`` lines; blank lines and
 repeated line collapses to its first occurrence. Ids are opaque strings
 and get dense indices in order of first appearance, train file first, then
 validation, then test. A file that is not UTF-8 text is a DataError. Every
-pair file the package reads or writes goes through _read_pairs and
-_write_pairs. A regular file (see _regular_rows) is checked with numpy and
-read with one split() per chunk, any other line by line, to the same rows.
+pair file the package reads or writes goes through _read_pairs, which
+gives (n, 2) index rows, and _write_pairs, which takes index rows plus the
+index-to-id tables. Both splitters keep warm start through _warm_start. A
+regular file (see _regular_rows) is checked with numpy and read with one
+split() per chunk, any other line by line, to the same rows.
 """
 from __future__ import annotations
 
@@ -187,17 +189,27 @@ def _read_pairs(path, user_map: dict[str, int], item_map: dict[str, int]) -> np.
     return rows.copy() if first.size == rows.shape[0] else rows[np.sort(first)]
 
 
-def _write_pairs(path, pairs):
-    """Write (user id, item id) pairs as tab-separated lines, streaming."""
+def _write_pairs(path, rows, users, items):
+    """Write (user, item) index rows as tab-separated id lines, streaming;
+    users[u] and items[i] give the ids."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u}\t{i}\n" for u, i in pairs)
+        fh.writelines(f"{users[u]}\t{items[i]}\n" for u, i in rows)
+
+
+def _warm_start(train_items: np.ndarray, held_items: np.ndarray, needed: np.ndarray) -> np.ndarray:
+    """Which held-out pairs go back to train so that every needed item has a
+    train pair: of each needed item with none, its first held-out pair."""
+    cold = np.flatnonzero(np.isin(held_items, needed) & ~np.isin(held_items, train_items))
+    back = np.zeros(held_items.shape[0], dtype=bool)
+    back[cold[np.unique(held_items[cold], return_index=True)[1]]] = True
+    return back
 
 
 def _holdout_validation(train: np.ndarray, test: np.ndarray, fraction: float, seed: int):
     """Move a seeded per-user fraction of train pairs into validation.
 
-    Every user keeps at least one train pair, and no test item loses its
-    last train occurrence (warm start must survive the holdout).
+    Every user keeps at least one train pair, and a test item the draw
+    left without train pairs gets its first moved pair back (_warm_start).
     """
     if not 0 <= fraction < 1:
         raise ValueError("holdout fraction must be in [0, 1)")
@@ -212,14 +224,8 @@ def _holdout_validation(train: np.ndarray, test: np.ndarray, fraction: float, se
             continue
         picked = rng.choice(pos.size, size=k, replace=False)
         moved[pos[np.sort(picked)]] = True
-    # keep the last train occurrence of any item the test split needs
-    test_items = set(test[:, 1].tolist()) if test.size else set()
-    remaining = np.bincount(train[~moved, 1], minlength=int(train[:, 1].max()) + 1 if train.size else 0)
-    for pos in np.flatnonzero(moved):
-        item = int(train[pos, 1])
-        if item in test_items and remaining[item] == 0:
-            moved[pos] = False
-            remaining[item] += 1
+    held = np.flatnonzero(moved)
+    moved[held[_warm_start(train[~moved, 1], train[held, 1], test[:, 1])]] = False
     return train[~moved], train[moved]
 
 
@@ -257,7 +263,7 @@ def write_pair_files(ds: InteractionDataset, train_path, test_path, val_path=Non
     if val_path is not None:
         targets.append((val_path, ds.validation))
     for path, arr in targets:
-        _write_pairs(path, ((users[int(u)], items[int(i)]) for u, i in arr))
+        _write_pairs(path, arr.tolist(), users, items)
 
 
 def build_adjacency(ds: InteractionDataset) -> csr_array:

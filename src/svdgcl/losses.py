@@ -128,11 +128,6 @@ def _ranking_terms(trace: ForwardTrace, batch: TrainBatch):
     return fu, pos, margins, float(np.mean(np.logaddexp(0.0, -margins)))
 
 
-def bpr_loss(trace: ForwardTrace, batch: TrainBatch) -> float:
-    """Mean softplus of the negated positive-minus-negative score margin."""
-    return _ranking_terms(trace, batch)[3]
-
-
 def l2_reg(state: ModelState) -> float:
     """Squared Frobenius norm of both embedding tables."""
     return float(np.sum(state.e_user * state.e_user) + np.sum(state.e_item * state.e_item))

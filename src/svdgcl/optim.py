@@ -1,11 +1,15 @@
 """Adam with bias correction, applied in place to both embedding tables."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelState
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -17,9 +21,6 @@ class OptimizerState:
     m_item: np.ndarray
     v_item: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(state: ModelState) -> OptimizerState:
@@ -37,14 +38,14 @@ def adam_step(state: ModelState, opt: OptimizerState, grad_user: np.ndarray, gra
     if grad_user.shape != state.e_user.shape or grad_item.shape != state.e_item.shape:
         raise ValueError("gradient shapes must match the embedding tables")
     opt.step += 1
-    c1 = 1.0 - opt.beta1**opt.step
-    c2 = 1.0 - opt.beta2**opt.step
+    c1 = 1.0 - BETA1**opt.step
+    c2 = 1.0 - BETA2**opt.step
     for param, m, v, g in (
         (state.e_user, opt.m_user, opt.v_user, grad_user),
         (state.e_item, opt.m_item, opt.v_item, grad_item),
     ):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        param -= lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        param -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)

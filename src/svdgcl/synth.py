@@ -78,5 +78,5 @@ def generate_blocks(
 
     paths = {name: out_dir / f"{name}.txt" for name in ("train", "val", "test")}
     for path, pairs in zip(paths.values(), (train, val, test)):
-        _write_pairs(path, pairs)
+        _write_pairs(path, pairs, range(blocks * users_per_block), range(n_items))
     return paths

@@ -11,6 +11,7 @@ import pytest
 from svdgcl.datasets import fetch_movielens_100k, locate_movielens_100k, prepare_movielens_100k
 from svdgcl.errors import ConfigError, DataError, ParseError
 from svdgcl.interactions import load_interactions, write_pair_files
+from tests.util import prepare_movielens_100k_string_dicts, write_pair_files_id_tuples
 
 # sha256s of the split files prepare_movielens_100k wrote for fake_ratings
 # (seed 0) with seed 0 before it shared the package's pair reader and writer
@@ -19,6 +20,11 @@ PINNED_SPLITS = {
     "val": "64c1a47045e336a58849f585177ab4b4e4f0f74a82003aa0d66494046183bb86",
     "test": "db6b779f2b3d9d66f834c27df4fc0798ad91d68fc6344b21e060aa23077e411d",
 }
+
+
+# split ratios the splitter is checked against its frozen copy with, from
+# the default to train-only, and one with no validation share
+FROZEN_RATIOS = ((0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (0.34, 0.33, 0.33), (0.6, 0.0, 0.4), (1.0, 0.0, 0.0))
 
 
 def sha256s(paths):
@@ -113,6 +119,59 @@ class TestPrepare:
         back = {split: tmp_path / f"back_{split}.txt" for split in ("train", "val", "test")}
         write_pair_files(ds, back["train"], back["test"], back["val"])
         assert sha256s(back) == PINNED_SPLITS
+
+
+class TestFrozenCopies:
+    """The splitter and the pair writer against frozen copies of the string
+    versions they replaced: per-user dicts of id lists, sets of drawn
+    positions, id tuple lists, and a counting dict for the repair."""
+
+    def test_random_ratings_match_byte_for_byte(self, tmp_path):
+        # ids of 1 and 2 digits, so (len(id), id) and plain string order
+        # differ; odd cases have users with 1 to 3 ratings; case 0 is empty
+        rng = np.random.default_rng(21)
+        src = tmp_path / "u.data"
+        back = {split: tmp_path / f"back_{split}.txt" for split in ("train", "val", "test")}
+        want_back = {split: tmp_path / f"want_back_{split}.txt" for split in ("train", "val", "test")}
+        for case in range(250):
+            n_users, n_items = (int(rng.integers(0, 15)) if case else 0), int(rng.integers(1, 21))
+            most = min(n_items, 3 if case % 2 else 12)
+            lines = [
+                f"{u * 7}\t{i * 3}\t4\t0\n"
+                for u in rng.permutation(n_users)
+                for i in rng.choice(n_items, size=int(rng.integers(1, most + 1)), replace=False)
+            ]
+            src.write_text("".join(lines[k] for k in rng.permutation(len(lines))))
+            ratios = FROZEN_RATIOS[case % len(FROZEN_RATIOS)]
+            got = prepare_movielens_100k(src, tmp_path / "got", seed=case, ratios=ratios)
+            want = prepare_movielens_100k_string_dicts(src, tmp_path / "want", seed=case, ratios=ratios)
+            assert sha256s(got) == sha256s(want), (case, ratios)
+            ds = load_interactions(got["train"], got["test"], got["val"])
+            write_pair_files(ds, back["train"], back["test"], back["val"])
+            write_pair_files_id_tuples(ds, want_back["train"], want_back["test"], want_back["val"])
+            assert sha256s(back) == sha256s(want_back) == sha256s(got), case
+
+    @pytest.mark.parametrize(
+        "seed, returned, kept",
+        # seed 0 draws user 1's pair of item 200 into val and user 2's into
+        # test, seed 21 the other way round; both ratings are held out, and
+        # the val pair goes back to train even when it is the later user's
+        [(0, "1\t200", "2\t200"), (21, "2\t200", "1\t200")],
+    )
+    def test_item_held_out_in_val_and_test(self, tmp_path, seed, returned, kept):
+        src = tmp_path / "u.data"
+        lines = [f"{u}\t{i}\t4\t0\n" for u in range(1, 7) for i in range(101, 104)]
+        src.write_text("".join(lines) + "1\t200\t4\t0\n2\t200\t4\t0\n")
+        got = prepare_movielens_100k(src, tmp_path / "got", seed=seed, ratios=(0.4, 0.3, 0.3))
+        want = prepare_movielens_100k_string_dicts(src, tmp_path / "want", seed=seed, ratios=(0.4, 0.3, 0.3))
+        assert sha256s(got) == sha256s(want)
+        split = {name: path.read_text().splitlines() for name, path in got.items()}
+        assert split["train"][-1] == returned
+        assert kept in split["test"]
+        assert [line for line in split["train"] + split["val"] if line.endswith("\t200")] == [returned]
+        # users 1 and 2 hold out one rating each in val and test, the three-rating
+        # users none; one of those four came back
+        assert len(split["val"]) + len(split["test"]) == 3
 
 
 class TestFetch:

@@ -603,6 +603,16 @@ class TestSvdReport:
         assert 0.0 <= resid <= 1.0
         assert np.all(np.diff(factors.s_r) <= 1e-12)
 
+    def test_energy_bound_residual_matches_dense(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, svd_rank=4, log_path=str(tmp_path / "dense.log"))
+        dense = run_svd_report(cfg)[1]
+        # one cell under the 24 x 24 graph, which then gets the energy bound
+        monkeypatch.setattr(harness, "DENSE_RESIDUAL_CELLS", 24 * 24 - 1)
+        bound = run_svd_report(dataclasses.replace(cfg, log_path=str(tmp_path / "bound.log")))[1]
+        assert "method=dense" in (tmp_path / "dense.log").read_text()
+        assert "method=energy_bound" in (tmp_path / "bound.log").read_text()
+        assert abs(bound - dense) < 1e-12
+
     def test_report_is_deterministic(self, tmp_path):
         cfg = small_config(tmp_path, svd_rank=4)
         f1, r1 = run_svd_report(cfg)

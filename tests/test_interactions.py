@@ -229,6 +229,30 @@ class TestHoldout:
             drawn = np.where((floor >= 1) & (counts - floor >= 1), floor, 0)
             assert got[1].shape[0] < drawn.sum()
 
+    def test_only_the_first_moved_pair_of_an_untrained_test_item_returns(self):
+        # item 99 is on three users' train pairs and is a test item; at
+        # fraction 0.9 the draw often moves all three, and then only the
+        # one first in train order goes back
+        rng = np.random.default_rng(7)
+        users = np.repeat(np.arange(1, 4), 10)
+        items = np.concatenate([np.append(rng.choice(50, size=9, replace=False), 99) for _ in range(3)])
+        train = np.column_stack([users, items])[rng.permutation(30)]
+        test = np.array([[0, 99]], dtype=np.int64)
+        first = train[np.flatnonzero(train[:, 1] == 99)[0]].tolist()
+        all_moved = 0
+        for seed in range(10):
+            # the draw does not read test, so with none the repair is off
+            drawn = _holdout_validation(train, np.empty((0, 2), dtype=np.int64), 0.9, seed)[1]
+            if (drawn[:, 1] == 99).sum() < 3:
+                continue
+            all_moved += 1
+            kept, moved = _holdout_validation(train, test, 0.9, seed)
+            assert kept[kept[:, 1] == 99].tolist() == [first]
+            assert (moved[:, 1] == 99).sum() == 2
+            want = holdout_validation_user_scan(train, test, 0.9, seed)
+            assert kept.tobytes() == want[0].tobytes() and moved.tobytes() == want[1].tobytes()
+        assert all_moved >= 2
+
     def test_empty_train_moves_nothing(self):
         empty = np.empty((0, 2), dtype=np.int64)
         kept, moved = _holdout_validation(empty, empty, 0.5, 1)

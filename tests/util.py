@@ -10,9 +10,10 @@ import pytest
 from scipy.sparse import csr_array
 from scipy.special import expit
 
-from svdgcl.errors import DataError, ParseError
+from svdgcl.datasets import PREP_STREAM
+from svdgcl.errors import ConfigError, DataError, ParseError
 from svdgcl import losses
-from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset
+from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset, _read_pairs
 from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
 from svdgcl.losses import (
     MAX_NEG_TRIES,
@@ -429,6 +430,79 @@ def holdout_validation_user_scan(train, test, fraction, seed):
             moved[pos] = False
             remaining[item] += 1
     return train[~moved], train[moved]
+
+
+def write_pairs_id_tuples(path, pairs):
+    """Frozen copy of the pair writer that took (user id, item id) tuples."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{u}\t{i}\n" for u, i in pairs)
+
+
+def write_pair_files_id_tuples(ds, train_path, test_path, val_path=None):
+    """Frozen copy of write_pair_files that built an id tuple per pair off
+    the inverted maps."""
+    users = {v: k for k, v in ds.user_id_map.items()}
+    items = {v: k for k, v in ds.item_id_map.items()}
+    targets = [(train_path, ds.train), (test_path, ds.test)]
+    if val_path is not None:
+        targets.append((val_path, ds.validation))
+    for path, arr in targets:
+        write_pairs_id_tuples(path, ((users[int(u)], items[int(i)]) for u, i in arr))
+
+
+def prepare_movielens_100k_string_dicts(u_data_path, out_dir, seed=42, ratios=(0.8, 0.1, 0.1)):
+    """Frozen copy of datasets.prepare_movielens_100k that split id strings:
+    per-user dicts of item lists, sets of drawn positions, tuple lists, and
+    a counting dict for the warm-start repair."""
+    if len(ratios) != 3 or min(ratios) < 0 or sum(ratios) > 1.0 + 1e-9 or ratios[0] <= 0:
+        raise ConfigError(f"bad split ratios {ratios}")
+    user_map: dict[str, int] = {}
+    item_map: dict[str, int] = {}
+    rows = _read_pairs(u_data_path, user_map, item_map)
+    users, items = list(user_map), list(item_map)
+    by_user: dict[str, list[str]] = {}
+    for u, i in rows.tolist():
+        by_user.setdefault(users[u], []).append(items[i])
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, PREP_STREAM])))
+    train: list[tuple[str, str]] = []
+    val: list[tuple[str, str]] = []
+    test: list[tuple[str, str]] = []
+    for user in sorted(by_user, key=lambda u: (len(u), u)):
+        items = by_user[user]
+        n = len(items)
+        n_test = int(np.floor(ratios[2] * n))
+        n_val = int(np.floor(ratios[1] * n))
+        perm = rng.permutation(n)
+        test_idx = set(perm[:n_test].tolist())
+        val_idx = set(perm[n_test : n_test + n_val].tolist())
+        for pos, item in enumerate(items):
+            if pos in test_idx:
+                test.append((user, item))
+            elif pos in val_idx:
+                val.append((user, item))
+            else:
+                train.append((user, item))
+
+    train_count: dict[str, int] = {}
+    for _, item in train:
+        train_count[item] = train_count.get(item, 0) + 1
+    for split in (val, test):
+        kept = []
+        for user, item in split:
+            if train_count.get(item, 0) == 0:
+                train.append((user, item))
+                train_count[item] = 1
+            else:
+                kept.append((user, item))
+        split[:] = kept
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {name: out_dir / f"{name}.txt" for name in ("train", "val", "test")}
+    for path, pairs in zip(paths.values(), (train, val, test)):
+        write_pairs_id_tuples(path, pairs)
+    return paths
 
 
 def read_pair_lines(path) -> list[tuple[str, str]]:
