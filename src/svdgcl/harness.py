@@ -142,12 +142,39 @@ def configure_logging(log_path=None):
         root.propagate = earlier_propagate
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the scipy-openblas that numpy
+    bundles, or None where numpy links another BLAS."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype, put.argtypes, put.restype = (), ctypes.c_int, (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """BLAS on one thread for the block, the caller's count back on exit, normal
+    or by exception. Process-wide: numpy in another thread sees one thread
+    meanwhile. Another BLAS is left alone."""
+    get, put = _blas_threads() or (lambda: None, lambda count: None)
+    earlier = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(earlier)
+
+
 def _logged_run(run):
-    """Run the wrapped call inside configure_logging(config.log_path)."""
+    """Run the wrapped call inside configure_logging(config.log_path) and
+    _one_blas_thread(), so that its bytes do not depend on OPENBLAS_NUM_THREADS."""
 
     @functools.wraps(run)
     def wrapper(config, *args, **kwargs):
-        with configure_logging(config.log_path):
+        with configure_logging(config.log_path), _one_blas_thread():
             return run(config, *args, **kwargs)
 
     return wrapper
@@ -170,7 +197,8 @@ def _fix_malloc_thresholds() -> bool:
     and keep one arena, so that the peak memory of a run repeats. A sliding
     mmap threshold put identical S runs at about 138 or 148 MB; a second arena
     for spmm_pair's worker thread put them at about 118 MB, not 116. Returns
-    whether glibc took all three values."""
+    whether glibc took all three values. The settings are process-wide and
+    never restored: glibc offers no getter for the thresholds."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
     if mallopt is None:
         return False

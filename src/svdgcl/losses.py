@@ -22,6 +22,7 @@ sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -31,14 +32,16 @@ from scipy.special import expit
 
 from .errors import DataError
 from .linalg import SvdFactors, svd_propagate
-from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, next_state, spmm_pair
+from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu_grad, next_state
+from .model import side_by_side, spmm_pair
 # bound here for bench/run.py, which traces them by module; nothing here calls them
 from .model import spmm, spmm_t
 
 logger = logging.getLogger("svdgcl.objective")
 
 MAX_NEG_TRIES = 100
-# bytes of one block of float64 contrast logits, anchor rows x all m members
+# bytes of one block of float64 contrast logits, anchor rows x all m members;
+# each side runs its blocks one at a time, and the two sides run at once
 CONTRAST_BLOCK_BYTES = 64 << 20
 
 
@@ -243,10 +246,13 @@ def loss_and_grads(
                 hu, hv = next_state(trace.pre_z_user[t - 1], hu), next_state(trace.pre_z_item[t - 1], hv)
             pre_g[0].append(svd_propagate(svd, hv, "user")[members[0]])
             pre_g[1].append(svd_propagate(svd, hu, "item")[members[1]])
-        for mem, pre_zs, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
-            z_rows = [leaky_relu(x[mem]) for x in pre_zs]
-            g_rows = [leaky_relu(x) for x in pre_gs]
-            sides.append((mem, pre_gs, *_contrast(z_rows, g_rows, hp.temperature)))
+        user, item = (
+            functools.partial(_contrast, [leaky_relu(x[mem]) for x in zs], [leaky_relu(x) for x in gs], hp.temperature)
+            for mem, zs, gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g)
+        )
+        # user side on the pair worker, item side here; a degenerate user side runs here, so warnings keep order
+        done = (user(), item()) if members[0].shape[0] < 2 else side_by_side(item, user)[::-1]
+        sides = [(mem, pre_gs, *res) for mem, pre_gs, res in zip(members, pre_g, done)]
     cl_u, cl_i = (sides[0][2], sides[1][2]) if sides else (0.0, 0.0)
     # after the contrast, so that its batch rows are not live during the m x m blocks
     fu, diff, margins, rec = _ranking_terms(trace, batch)

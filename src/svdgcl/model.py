@@ -188,25 +188,31 @@ def spmm_t(a: csr_array, b: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _pair_worker() -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="svdgcl-spmm")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="svdgcl-pair")
 
 
 os.register_at_fork(after_in_child=_pair_worker.cache_clear)  # a forked child has no worker thread
 
 
+def side_by_side(here, there):
+    """(here(), there()), there on the one worker thread. Returns or raises
+    once both have finished; here's error wins."""
+    job = _pair_worker().submit(there)
+    try:
+        out = here()
+    finally:
+        job.exception()  # waits for the worker without raising
+    return out, job.result()
+
+
 def spmm_pair(a: csr_array, b_cols: np.ndarray, b_rows: np.ndarray):
-    """(spmm(a, b_cols), spmm_t(a, b_rows)), the second on one worker thread.
+    """(spmm(a, b_cols), spmm_t(a, b_rows)), the second on the worker thread.
 
     scipy's sparse kernels release the GIL, so on two cores the two overlap,
     with the serial calls' bytes. The worker calls no module-level name, so a
     tracer of spmm and spmm_t sees only the main thread's product. Returns or
     raises once both have finished; spmm's error wins."""
-    job = _pair_worker().submit(lambda: a.T @ b_rows)
-    try:
-        out = spmm(a, b_cols)
-    finally:
-        job.exception()  # waits for the worker's product without raising
-    return out, job.result()
+    return side_by_side(lambda: spmm(a, b_cols), lambda: a.T @ b_rows)
 
 
 def edge_dropout(a: csr_array, p: float, rng: np.random.Generator):

@@ -315,7 +315,14 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     reload reproduces the metrics bit for bit. The checkpoint's config
     digest identifies the hyperparameters, not the data: it leaves the
     paths out, so the same data in another directory gives the same
-    checkpoint bytes."""
+    checkpoint bytes.
+
+    Threads: each entry point runs numpy's BLAS on one thread and restores
+    the caller's count when it returns or raises, so the bytes do not
+    depend on OPENBLAS_NUM_THREADS (tests/test_harness.py::TestOneBlasThread).
+    The count is process-wide, so a host process running numpy in another
+    thread sees one BLAS thread during the call. Where numpy links a BLAS
+    other than its bundled scipy-openblas, nothing is pinned."""
 
     def cfg(name, log):
         paths = generate_blocks(tmp_path / name, 50, 50, 2, 0.05, 42)

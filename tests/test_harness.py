@@ -11,6 +11,8 @@ import logging
 import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from svdgcl.harness import (
 )
 from svdgcl.model import HyperParams
 from svdgcl.synth import generate_blocks
-from tests.util import svdgcl_logger_state
+from tests.util import src_env, svdgcl_logger_state
 
 
 def small_config(tmp_path, name="data", **over):
@@ -367,6 +369,71 @@ class TestRunsLeaveLoggingAlone:
         with caplog.at_level("WARNING", logger="svdgcl"):
             logging.getLogger("svdgcl.objective").warning("after the run")
         assert "after the run" in caplog.messages
+
+
+BLAS = harness._blas_threads()
+
+
+class TestOneBlasThread:
+    """Run calls run BLAS on one thread for their own length and no longer."""
+
+    @pytest.mark.skipif(BLAS is None, reason="numpy does not bundle scipy-openblas")
+    @pytest.mark.parametrize("call", ["train", "eval", "svd-report"])
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_pins_one_thread_and_restores_the_count(self, tmp_path, monkeypatch, call, raises):
+        get, put = BLAS
+        cfg = small_config(tmp_path, epochs=1)
+        ckpt = run_training(cfg).checkpoint_path
+        runs = {"train": run_training, "eval": lambda c: run_eval(c, ckpt), "svd-report": run_svd_report}
+        load, seen = harness._load_graph, []
+
+        def probe(config):
+            seen.append(get())
+            if raises:
+                raise RuntimeError("probe")
+            return load(config)
+
+        monkeypatch.setattr(harness, "_load_graph", probe)
+        earlier = get()
+        put(3)
+        try:
+            if raises:
+                with pytest.raises(RuntimeError, match="probe"):
+                    runs[call](cfg)
+            else:
+                runs[call](cfg)
+            assert get() == 3
+        finally:
+            put(earlier)
+        assert seen == [1]
+
+    def test_another_blas_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(harness, "_blas_threads", lambda: None)
+        with harness._one_blas_thread():
+            pass
+        with pytest.raises(RuntimeError):
+            with harness._one_blas_thread():
+                raise RuntimeError("inside the block")
+
+    def test_bytes_do_not_depend_on_openblas_num_threads(self, tmp_path):
+        # on this shape the two counts gave different checkpoints while runs
+        # used the environment's count; each child picks its own count, so
+        # this process's stays as it is
+        paths = generate_blocks(tmp_path / "d", 50, 50, 3, 0.05, 1)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            argv = [
+                "train", f"--train-path={paths['train']}", f"--test-path={paths['test']}",
+                f"--val-path={paths['val']}", f"--checkpoint-dir={out}", f"--log-path={out / 'run.log'}",
+                "--epochs=2", "--eval-every=1", "--eval-ks=5", "--batch-size=512",
+            ]
+            subprocess.run(
+                [sys.executable, "-m", "svdgcl"] + argv, env={**src_env(), "OPENBLAS_NUM_THREADS": threads},
+                check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(((out / "run.log").read_bytes(), (out / "best.ckpt").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestTraining:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from svdgcl import metrics
 from svdgcl.errors import NumericalError
@@ -327,3 +329,32 @@ class TestBlockedEngineMatchesLoop:
         state.e_item[3] = np.nan
         with pytest.raises(NumericalError, match="non-finite scores"):
             evaluate(state, a, None, ds, [3])
+
+
+@st.composite
+def score_tables(draw):
+    """A val-split dataset and a score table over it: each cell is a train
+    pair, a held-out pair or neither, and scores are small integers, so
+    they tie often. Users may hold out nothing."""
+    num_users, num_items = draw(st.integers(1, 9)), draw(st.integers(2, 12))
+    cells = st.lists(st.integers(0, 2), min_size=num_items, max_size=num_items)
+    labels = np.array(draw(st.lists(cells, min_size=num_users, max_size=num_users)))
+    score = st.lists(st.integers(-2, 2), min_size=num_items, max_size=num_items)
+    scores = np.array(draw(st.lists(score, min_size=num_users, max_size=num_users)), dtype=np.float64)
+    ds = InteractionDataset(
+        num_users, num_items, train=np.argwhere(labels == 1), validation=np.argwhere(labels == 2), test=[]
+    )
+    ks = draw(st.sets(st.integers(1, num_items + 2), min_size=1, max_size=4))
+    rows = draw(st.integers(1, num_users + 1))
+    return ds, scores, sorted(ks), rows
+
+
+class TestEngineProperties:
+    @given(score_tables(), st.integers(0, 7))
+    def test_blocked_engine_equals_the_loop(self, table, spare_bytes):
+        # blocks and comparison chunks of a few rows cut through users' held-out pairs
+        ds, scores, ks, rows = table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "SCORE_BLOCK_BYTES", 8 * ds.num_items * rows + spare_bytes)
+            got = metrics._ranked_metrics(ds, ks, lambda lo, hi: scores[lo:hi].copy(), split="val")
+        assert got == metrics_over_users_loop(ds, ks, lambda u: scores[u], split="val")
