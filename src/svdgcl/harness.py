@@ -144,8 +144,7 @@ def configure_logging(log_path=None):
 
 @functools.cache
 def _blas_threads():
-    """(get, set) of the thread count of the scipy-openblas that numpy
-    bundles, or None where numpy links another BLAS."""
+    """The (get, set) thread-count pair of numpy's bundled scipy-openblas; None under another BLAS."""
     for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
         lib = ctypes.CDLL(str(path))
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
@@ -156,9 +155,8 @@ def _blas_threads():
 
 @contextmanager
 def _one_blas_thread():
-    """BLAS on one thread for the block, the caller's count back on exit, normal
-    or by exception. Process-wide: numpy in another thread sees one thread
-    meanwhile. Another BLAS is left alone."""
+    """BLAS on one thread for the block, the caller's count back on any exit. The count
+    is process-wide: numpy in another thread sees one thread meanwhile."""
     get, put = _blas_threads() or (lambda: None, lambda count: None)
     earlier = get()
     put(1)
@@ -169,8 +167,7 @@ def _one_blas_thread():
 
 
 def _logged_run(run):
-    """Run the wrapped call inside configure_logging(config.log_path) and
-    _one_blas_thread(), so that its bytes do not depend on OPENBLAS_NUM_THREADS."""
+    """Run the wrapped call inside configure_logging(config.log_path) and _one_blas_thread()."""
 
     @functools.wraps(run)
     def wrapper(config, *args, **kwargs):

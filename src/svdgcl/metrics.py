@@ -12,10 +12,10 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import NumericalError
-from .model import ModelState, forward
+from .model import ModelState, forward, side_by_side
 
-# byte budget of one float64 score block, and of each chunk of per-pair
-# comparison rows: 131 users per block at 4,000 items
+# byte budget of one float64 score block (two are live at once), and of each
+# chunk of per-pair comparison rows: 131 users per block at 4,000 items
 SCORE_BLOCK_BYTES = 1 << 22
 
 
@@ -32,13 +32,14 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     """Recall and NDCG at every cutoff, users scored in blocks of SCORE_BLOCK_BYTES.
 
     score_block(lo, hi) yields a fresh (hi - lo, num_items) float64 array of
-    the scores of users lo..hi-1. A held-out item's 0-based rank is the
-    count of unmasked items that score higher, plus those that tie it at a
-    lower index, so ties break toward the lower index. Per-pair
-    comparisons run in chunks of the same byte budget, so memory is bounded
-    however many held-out items a user has. Each user's DCG adds its gains
-    in rank order, and the per-user values add in user order, so the sums
-    are those of a per-user loop that accumulates with +=.
+    the scores of users lo..hi-1; after the first block it runs on the pair
+    worker, one block ahead of the ranking, so it must not use the worker.
+    A held-out item's 0-based rank is the count of unmasked items that score
+    higher, plus those that tie it at a lower index, so ties break toward the
+    lower index. Per-pair comparisons run in chunks of the same byte budget,
+    so memory is bounded however many held-out items a user has. Each user's
+    DCG adds its gains in rank order, and the per-user values add in user
+    order, so the sums are those of a per-user loop that accumulates with +=.
     """
     ks = sorted({int(k) for k in ks})
     if not ks or ks[0] < 1:
@@ -53,11 +54,8 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
     rows = max(1, SCORE_BLOCK_BYTES // (8 * n))
     cols = np.arange(n)
     rank = np.empty(held_keys.shape[0], dtype=np.int64)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        if held_ptr[lo] == held_ptr[hi]:
-            continue
-        scores = score_block(lo, hi)
+
+    def rank_block(scores, lo, hi):
         if not np.isfinite(scores).all():
             raise NumericalError(f"non-finite scores for users {lo}..{hi - 1}: the final embeddings hold NaN or inf")
         # a train key less lo * n is its flat position in the block
@@ -69,6 +67,12 @@ def _ranked_metrics(ds, ks, score_block, split: str = "test") -> EvalResult:
             own = cand[np.arange(c1 - c0), items][:, None]
             rank[c0:c1] = np.count_nonzero(cand > own, axis=1)
             rank[c0:c1] += np.count_nonzero((cand == own) & (cols < items[:, None]), axis=1)
+
+    spans = [(lo, min(lo + rows, m)) for lo in range(0, m, rows) if held_ptr[lo] < held_ptr[min(lo + rows, m)]]
+    scores = score_block(*spans[0])
+    for (lo, hi), ahead in zip(spans, spans[1:] + [None]):
+        # the pair worker scores the next block while this thread ranks this one
+        scores = side_by_side(lambda: rank_block(scores, lo, hi), lambda: ahead and score_block(*ahead))[1]
 
     order = np.lexsort((rank, held_user))
     pair_user, pair_rank = held_user[order], rank[order]

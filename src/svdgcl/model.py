@@ -210,8 +210,7 @@ def spmm_pair(a: csr_array, b_cols: np.ndarray, b_rows: np.ndarray):
 
     scipy's sparse kernels release the GIL, so on two cores the two overlap,
     with the serial calls' bytes. The worker calls no module-level name, so a
-    tracer of spmm and spmm_t sees only the main thread's product. Returns or
-    raises once both have finished; spmm's error wins."""
+    tracer of spmm and spmm_t sees only the main thread's product. spmm's error wins."""
     return side_by_side(lambda: spmm(a, b_cols), lambda: a.T @ b_rows)
 
 

@@ -1,6 +1,7 @@
 """The blocked ranking engine: ranking, recall, NDCG and evaluation, vs brute force."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -321,6 +322,27 @@ class TestBlockedEngineMatchesLoop:
         assert got == evaluate_popularity(ds, self.KS)
         assert all(hi - lo <= 6 for lo, hi in shapes)
         assert shapes[0] == (0, 6) and shapes[-1][1] == ds.num_users
+
+    def test_blocks_after_the_first_are_scored_on_the_pair_worker(self, monkeypatch):
+        ds = random_dataset(6, num_users=50, num_items=40)
+        monkeypatch.setattr(metrics, "SCORE_BLOCK_BYTES", 8 * ds.num_items * 6)
+        counts = np.bincount(ds.train[:, 1], minlength=ds.num_items).astype(np.float64)
+        threads = []
+
+        def score_block(lo, hi):
+            threads.append(threading.current_thread())
+            if lo == fail_at:
+                raise MemoryError(f"block {lo}")
+            return np.repeat(counts[None, :], hi - lo, axis=0)
+
+        fail_at = None
+        assert metrics._ranked_metrics(ds, self.KS, score_block) == evaluate_popularity(ds, self.KS)
+        assert threads[0] is threading.main_thread() and len(threads) > 2
+        assert threading.main_thread() not in threads[1:]
+        # a failing block on the worker raises from the call
+        fail_at = 12
+        with pytest.raises(MemoryError, match="block 12"):
+            metrics._ranked_metrics(ds, self.KS, score_block)
 
     def test_non_finite_scores_raise(self):
         ds = tiny_dataset()
