@@ -8,6 +8,7 @@ each coordinate moves.
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -536,6 +537,45 @@ class TestObjective:
         assert gu.tobytes() == gu2.tobytes() and gi.tobytes() == gi2.tobytes()
         assert gu.shape == state.e_user.shape
         assert gi.shape == state.e_item.shape
+
+
+class TestContrastSidesOnTwoThreads:
+    def test_user_side_runs_on_the_pair_worker(self, monkeypatch):
+        ds, a, hp, state, svd, batch = build_setup()
+        trace = forward(state, a, hp=hp)
+        want = loss_and_grads(trace, batch, state, hp, svd)
+        calls = []
+
+        def recording(a_layers, b_layers, tau):
+            calls.append((a_layers[0].shape[0], threading.current_thread()))
+            return contrast(a_layers, b_layers, tau)
+
+        contrast = losses._contrast
+        monkeypatch.setattr(losses, "_contrast", recording)
+        got = loss_and_grads(trace, batch, state, hp, svd)
+        assert got[0] == want[0] and all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+        users, items = np.unique(batch.users).size, np.unique(np.concatenate([batch.pos_items, batch.neg_items])).size
+        by_thread = {thread: m for m, thread in calls}
+        assert len(calls) == 2 and by_thread.pop(threading.main_thread()) == items
+        assert list(by_thread.values()) == [users]
+
+    @pytest.mark.parametrize("degenerate", ["user", "item", "both"])
+    def test_degenerate_sides_warn_from_the_calling_thread(self, degenerate, caplog):
+        ds, a, hp, state, svd, batch = build_setup()
+        one_user, one_item = np.zeros(batch.size, dtype=np.int64), np.ones(batch.size, dtype=np.int64)
+        batch = TrainBatch(
+            users=one_user if degenerate != "item" else batch.users,
+            pos_items=one_item if degenerate != "user" else batch.pos_items,
+            neg_items=one_item if degenerate != "user" else batch.neg_items,
+        )
+        trace = forward(state, a, hp=hp)
+        with caplog.at_level("WARNING", logger="svdgcl"):
+            report = loss_and_grads(trace, batch, state, hp, svd)[0]
+        warned = [r for r in caplog.records if "member" in r.getMessage()]
+        assert len(warned) == (2 if degenerate == "both" else 1)
+        assert all(r.thread == threading.main_thread().ident for r in warned)
+        assert (report.cl_loss_user == 0.0) == (degenerate != "item")
+        assert (report.cl_loss_item == 0.0) == (degenerate != "user")
 
 
 class TestPairedProductsKeepTheBytes:
