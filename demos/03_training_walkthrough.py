@@ -46,7 +46,6 @@ try:
     r = result.test_result.recall[5]
     print(f"model recall@5 = {r:.3f} vs popularity {pop.recall[5]:.3f}")
     print(f"best validation epoch: {result.best_epoch}, epochs run: {result.epochs_run}")
-    print(f"graph factorizations this run: {result.svd_runs} (always exactly one)")
     print(f"mean epoch time: {sum(result.epoch_seconds) / len(result.epoch_seconds):.3f}s")
     print(f"best checkpoint: {result.checkpoint_path}")
 finally:

@@ -43,8 +43,6 @@ from .model import (
     forward,
     init_model,
     leaky_relu,
-    spmm,
-    spmm_t,
 )
 from .optim import OptimizerState, adam_step, init_optimizer
 from .synth import generate_blocks
@@ -91,8 +89,6 @@ __all__ = [
     "run_training",
     "sample_batch",
     "save_checkpoint",
-    "spmm",
-    "spmm_t",
     "svd_propagate",
     "write_pair_files",
 ]

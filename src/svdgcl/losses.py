@@ -273,8 +273,7 @@ def loss_and_grads(
         state.num_items,
     )
 
-    gu = gfu.copy()
-    gv = gfv.copy()
+    gu, gv = gfu, gfv
     for t in reversed(range(state.layers)):
         # the contrast's share of each side's layer output, then of its view rows
         dz = [gu, gv]

@@ -160,15 +160,15 @@ def init_model(ds, hp: HyperParams) -> ModelState:
     return ModelState(e_user=e_user, e_item=e_item, layers=hp.layers, embed_dim=hp.embed_dim, rng=rng_train)
 
 
-def leaky_relu(x: np.ndarray, negative_slope: float = LEAKY_SLOPE) -> np.ndarray:
+def leaky_relu(x: np.ndarray) -> np.ndarray:
     # for 0 < slope <= 1 the larger of x and slope * x is the branch that
     # np.where(x >= 0, x, slope * x) picks, with its bytes on +-0, +-inf and NaN
-    return np.maximum(x, negative_slope * x)
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
-def leaky_relu_grad(x: np.ndarray, negative_slope: float = LEAKY_SLOPE) -> np.ndarray:
+def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
     # the kink at exactly 0 takes slope 1
-    return np.where(x >= 0, 1.0, negative_slope)
+    return np.where(x >= 0, 1.0, LEAKY_SLOPE)
 
 
 def next_state(pre_z: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from svdgcl.losses import loss_and_grads, sample_batch
 from svdgcl.metrics import _ranked_metrics, evaluate_popularity
 from svdgcl.model import HyperParams, forward, init_model
 from svdgcl.synth import TRAIN_WINDOW, generate_blocks
-from tests.util import infonce_loss, one_user_dataset
+from tests.util import count_factorizations, infonce_loss, one_user_dataset
 
 
 def announce(capsys, number, ok, detail):
@@ -354,8 +354,16 @@ def test_criterion_09_determinism_and_persistence(capsys, tmp_path):
     )
 
 
-def test_criterion_10_efficiency_premise(capsys, tmp_path):
+def test_criterion_10_efficiency_premise(capsys, tmp_path, monkeypatch):
     # the factorize-once half holds on any run; verify it on the block task
+    calls = count_factorizations(monkeypatch)
+
+    def counted(cfg):
+        """The run's result and how many factorizations it made."""
+        calls.clear()
+        res = run_training(cfg)
+        return res, len(calls)
+
     paths = generate_blocks(tmp_path / "blocks", 30, 30, 2, 0.05, 1)
 
     def run(lam, epochs):
@@ -368,16 +376,15 @@ def test_criterion_10_efficiency_premise(capsys, tmp_path):
             lambda1=lam,
             checkpoint_dir=str(tmp_path / f"ck{lam}"),
         )
-        return run_training(cfg)
+        return counted(cfg)[1]
 
-    res_on = run(0.05, 10)
-    res_off = run(0.0, 10)
-    once_ok = res_on.svd_runs == 1 and res_off.svd_runs == 0
+    runs_on, runs_off = run(0.05, 10), run(0.0, 10)
+    once_ok = runs_on == 1 and runs_off == 0
 
     src = locate_movielens_100k()
     if src is None:
         if not once_ok:
-            announce(capsys, 10, False, f"factorization ran {res_on.svd_runs} times (expected 1)")
+            announce(capsys, 10, False, f"factorizations: {runs_on} with branch, {runs_off} without (expected 1, 0)")
         announce_skip(
             capsys, 10,
             "factorize-once verified on the block task; the per-epoch timing bound is pinned "
@@ -395,16 +402,15 @@ def test_criterion_10_efficiency_premise(capsys, tmp_path):
             lambda1=lam,
             checkpoint_dir=str(tmp_path / f"mlck{lam}"),
         )
-        return run_training(cfg)
+        return counted(cfg)
 
-    with_branch = run_ml(0.05)
-    without = run_ml(0.0)
+    (with_branch, ml_on), (without, ml_off) = run_ml(0.05), run_ml(0.0)
     t_on = float(np.mean(with_branch.epoch_seconds))
     t_off = float(np.mean(without.epoch_seconds))
     ratio = t_on / t_off
-    ok = once_ok and with_branch.svd_runs == 1 and without.svd_runs == 0 and ratio < 2.0
+    ok = once_ok and ml_on == 1 and ml_off == 0 and ratio < 2.0
     announce(
         capsys, 10, ok,
-        f"factorizations: {with_branch.svd_runs} with branch, {without.svd_runs} without; "
+        f"factorizations: {ml_on} with branch, {ml_off} without; "
         f"per-epoch {t_on:.3f}s vs {t_off:.3f}s, ratio={ratio:.2f} (bound 2x)",
     )

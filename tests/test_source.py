@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from tests.test_bench_names import load_wraps
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "svdgcl").glob("*.py"))
+# (module, name) pairs that bench/run.py's tracer patches
+TRACED_BY_BENCH = set(load_wraps())
 
 
 def test_sources_are_found():
@@ -35,3 +39,19 @@ def test_export_list_matches_the_imports():
         for alias in node.names
     ]
     assert sorted(imported) == sorted(svdgcl.__all__)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_imported_names_are_used_or_traced(path):
+    # a name imported but never read is dead, unless bench/run.py's tracer
+    # patches it in this module, which is what keeps it bound there
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    dead = sorted(name for name in imported - read if (f"svdgcl.{path.stem}", name) not in TRACED_BY_BENCH)
+    assert not dead, f"{path.name} imports {dead} and never uses them"

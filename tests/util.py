@@ -12,7 +12,7 @@ from scipy.special import expit
 
 from svdgcl.datasets import PREP_STREAM
 from svdgcl.errors import ConfigError, DataError, ParseError
-from svdgcl import losses
+from svdgcl import harness, linalg, losses
 from svdgcl.interactions import HOLDOUT_STREAM, InteractionDataset, _read_pairs
 from svdgcl.linalg import SvdFactors, _fix_signs, exact_svd_dense, svd_propagate
 from svdgcl.losses import (
@@ -67,6 +67,21 @@ def svdgcl_logger_state():
     before/after comparisons around calls that must leave them alone."""
     lg = logging.getLogger("svdgcl")
     return list(lg.handlers), lg.level, lg.propagate
+
+
+def count_factorizations(monkeypatch):
+    """A list that gains one entry per approx_svd call made through harness
+    or linalg, for the rest of the test."""
+    calls = []
+    for module in (harness, linalg):
+        real = module.approx_svd
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "approx_svd", counted)
+    return calls
 
 
 def infonce_layer_unfused(z, g, members, tau):
