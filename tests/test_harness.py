@@ -678,10 +678,10 @@ class TestSvdReport:
         blocks = [(7, 4), (3, 6), (5, 5)]
         train = [f"u{b}_{i} i{b}_{j}\n" for b, (m, n) in enumerate(blocks) for i in range(m) for j in range(n)]
         # one cross-block pair each for test and validation, outside the graph
-        paths = {"train": "".join(train), "test": "u0_0 i1_0\n", "val": "u1_0 i2_0\n"}
-        for split, text in paths.items():
+        texts = {"train": "".join(train), "test": "u0_0 i1_0\n", "val": "u1_0 i2_0\n"}
+        for split, text in texts.items():
             (tmp_path / f"{split}.txt").write_text(text)
-        cfg = RunConfig(**{f"{split}_path": str(tmp_path / f"{split}.txt") for split in paths}, svd_rank=3)
+        cfg = RunConfig(**{f"{split}_path": str(tmp_path / f"{split}.txt") for split in texts}, svd_rank=3)
         factors, resid = run_svd_report(cfg)
         np.testing.assert_allclose(factors.s_r, 1.0, atol=1e-12)
         # the documented floor: the report reads 1.2e-8 here, the dense difference 1e-16
