@@ -45,7 +45,7 @@ try:
     print("== outcome ==")
     r = result.test_result.recall[5]
     print(f"model recall@5 = {r:.3f} vs popularity {pop.recall[5]:.3f}")
-    print(f"best validation epoch: {result.best_epoch}, epochs run: {result.epochs_run}")
+    print(f"best validation epoch: {result.best_epoch}, epochs run: {len(result.epoch_seconds)}")
     print(f"mean epoch time: {sum(result.epoch_seconds) / len(result.epoch_seconds):.3f}s")
     print(f"best checkpoint: {result.checkpoint_path}")
 finally:

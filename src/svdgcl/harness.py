@@ -57,13 +57,10 @@ class RunConfig(HyperParams):
     val_fraction: float = knob(0.1, "in [0, 1)")
     patience: int = knob(20, "at least 1")
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def digest(self) -> str:
         """Hash of every field but the paths: it names the knobs, not the data
         or where it lives."""
-        knobs = {k: v for k, v in self.as_dict().items() if k not in _PATH_FIELDS}
+        knobs = {k: v for k, v in dataclasses.asdict(self).items() if k not in _PATH_FIELDS}
         return hashlib.sha256(json.dumps(knobs, sort_keys=True).encode("utf-8")).hexdigest()
 
     @classmethod
@@ -181,7 +178,6 @@ class TrainResult:
 
     test_result: EvalResult
     best_epoch: int | None
-    epochs_run: int
     checkpoint_path: str | None
     epoch_seconds: list
 
@@ -264,7 +260,6 @@ def run_training(config: RunConfig) -> TrainResult:
     best_epoch: int | None = None
     stale = 0
     epoch_seconds: list = []
-    epochs_run = 0
 
     for epoch in range(1, config.epochs + 1):
         t0 = perf_counter()
@@ -291,7 +286,6 @@ def run_training(config: RunConfig) -> TrainResult:
             "epoch=%d rec=%.6f cl_u=%.6f cl_i=%.6f reg=%.6f total=%.6f",
             epoch, mean[0], mean[1], mean[2], mean[3], mean[4],
         )
-        epochs_run = epoch
         if val_available and epoch % config.eval_every == 0:
             res = evaluate(state, a_norm, None, ds, ks, split="val")
             _log_eval(epoch, res, ks)
@@ -320,11 +314,10 @@ def run_training(config: RunConfig) -> TrainResult:
         checkpoint_used = str(ckpt_path)
 
     test_result = evaluate(state, a_norm, None, ds, ks, split="test")
-    _log_eval(epochs_run, test_result, ks)
+    _log_eval(len(epoch_seconds), test_result, ks)
     return TrainResult(
         test_result=test_result,
         best_epoch=best_epoch,
-        epochs_run=epochs_run,
         checkpoint_path=checkpoint_used,
         epoch_seconds=epoch_seconds,
     )

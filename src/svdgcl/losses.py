@@ -23,7 +23,6 @@ sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ from .model import ForwardTrace, HyperParams, ModelState, leaky_relu, leaky_relu
 from .model import side_by_side, spmm_pair
 # bound here for bench/run.py, which traces them by module; nothing here calls them
 from .model import spmm, spmm_t
-
-logger = logging.getLogger("svdgcl.objective")
 
 MAX_NEG_TRIES = 100
 # bytes of one block of float64 contrast logits, anchor rows x all m members;
@@ -196,13 +193,10 @@ def _contrast(a_layers, b_layers, tau: float):
     a_layers[t], b_layers[t], summed over layers and averaged over members.
 
     Returns (loss, grads), grads holding each layer's (ga, gb) of the
-    unaveraged sum. Fewer than two members makes the contrast degenerate,
-    so the term is skipped with a warning and grads is None.
+    unaveraged sum. A lone member is its own only candidate, so its loss
+    is log 1: exactly 0.0, with every gradient entry +0.0.
     """
     m = a_layers[0].shape[0]
-    if m < 2:
-        logger.warning("contrastive set has %d member(s); skipping the term", m)
-        return 0.0, None
     total = 0.0
     grads = []
     for a, b in zip(a_layers, b_layers):
@@ -232,7 +226,7 @@ def loss_and_grads(
     graph-propagated term from the opposite side, and (when the contrast
     is active) the global view's term.
     """
-    # per side, user then item: members, view rows, contrast loss, each layer's (ga, gb) or None
+    # per side, user then item: members, view rows, contrast loss, each layer's (ga, gb)
     sides = []
     if hp.lambda1 > 0:
         if svd is None:
@@ -250,9 +244,8 @@ def loss_and_grads(
             functools.partial(_contrast, [leaky_relu(x[mem]) for x in zs], [leaky_relu(x) for x in gs], hp.temperature)
             for mem, zs, gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g)
         )
-        # user side on the pair worker, item side here; a degenerate user side runs here, so warnings keep order
-        done = (user(), item()) if members[0].shape[0] < 2 else side_by_side(item, user)[::-1]
-        sides = [(mem, pre_gs, *res) for mem, pre_gs, res in zip(members, pre_g, done)]
+        # user side on the pair worker, item side here
+        sides = [(mem, pre_gs, *res) for mem, pre_gs, res in zip(members, pre_g, side_by_side(item, user)[::-1])]
     cl_u, cl_i = (sides[0][2], sides[1][2]) if sides else (0.0, 0.0)
     # after the contrast, so that its batch rows are not live during the m x m blocks
     fu, diff, margins, rec = _ranking_terms(trace, batch)
@@ -277,24 +270,20 @@ def loss_and_grads(
     for t in reversed(range(state.layers)):
         # the contrast's share of each side's layer output, then of its view rows
         dz = [gu, gv]
-        dpre_g = [None, None]
+        dpre_g = []
         for s, (mem, pre_gs, _, grads) in enumerate(sides):
-            if grads is None:
-                continue
             weight = hp.lambda1 / mem.shape[0]
             dz[s] = dz[s].copy()
             dz[s][mem] += grads[t][0] * weight
-            dpre_g[s] = np.zeros_like(dz[s])
+            dpre_g.append(np.zeros_like(dz[s]))
             dpre_g[s][mem] = grads[t][1] * weight * leaky_relu_grad(pre_gs[t])
         dpre_zu = dz[0] * leaky_relu_grad(trace.pre_z_user[t])
         dpre_zv = dz[1] * leaky_relu_grad(trace.pre_z_item[t])
         down_u, down_v = spmm_pair(trace.dropped_adj[t], dpre_zv, dpre_zu)
-        next_gu, next_gv = gu + gfu + down_u, gv + gfv + down_v
-        if dpre_g[0] is not None:
-            next_gv += svd_propagate(svd, dpre_g[0], "item")
-        if dpre_g[1] is not None:
-            next_gu += svd_propagate(svd, dpre_g[1], "user")
-        gu, gv = next_gu, next_gv
+        gu, gv = gu + gfu + down_u, gv + gfv + down_v
+        # the user side's view was built off the item rows, the item side's off the user rows
+        for grad, view, side in zip((gv, gu), dpre_g, ("item", "user")):
+            grad += svd_propagate(svd, view, side)
 
     gu += 2.0 * hp.lambda2 * state.e_user
     gv += 2.0 * hp.lambda2 * state.e_item

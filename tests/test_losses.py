@@ -32,7 +32,9 @@ from svdgcl.losses import (
     sample_batch,
 )
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model, leaky_relu
+import tests.util
 from tests.util import (
+    contrast_skipping_lone_members,
     forward_keeping_lists,
     infonce_layer_one_buffer,
     infonce_layer_unfused,
@@ -243,12 +245,25 @@ class TestContrast:
         assert np.isfinite(got)
         assert abs(got - want) < 1e-10
 
-    def test_degenerate_member_set_warns_and_skips(self, caplog):
-        z = [np.ones((3, 2))]
-        with caplog.at_level("WARNING", logger="svdgcl"):
-            got = infonce_loss(z, z, np.array([0]), tau=1.0)
-        assert got == 0.0
-        assert any("member" in r.message for r in caplog.records)
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.01, 0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("zero_row", [None, "a", "b"])
+    def test_lone_member_gives_exact_zeros(self, layers, tau, zero_row, caplog):
+        # InfoNCE over one candidate is log 1: no warning, no skip, just zeros
+        rng = np.random.default_rng(layers * 100 + int(tau * 100))
+        a = [rng.standard_normal((1, 5)) * 10.0 ** rng.uniform(-3, 3) for _ in range(layers)]
+        b = [rng.standard_normal((1, 5)) * 10.0 ** rng.uniform(-3, 3) for _ in range(layers)]
+        if zero_row is not None:
+            (a if zero_row == "a" else b)[-1][0] = 0.0
+        with caplog.at_level("DEBUG"):
+            loss, grads = losses._contrast(a, b, tau)
+        assert loss == 0.0 and not np.signbit(loss)
+        assert len(grads) == layers
+        for ga, gb in grads:
+            assert ga.shape == gb.shape == (1, 5)
+            for g in (ga, gb):
+                assert not g.any() and not np.signbit(g).any()
+        assert caplog.records == []
 
     def test_temperature_validated(self):
         with pytest.raises(ConfigError, match="temperature must be positive"):
@@ -540,42 +555,61 @@ class TestObjective:
 
 
 class TestContrastSidesOnTwoThreads:
-    def test_user_side_runs_on_the_pair_worker(self, monkeypatch):
-        ds, a, hp, state, svd, batch = build_setup()
-        trace = forward(state, a, hp=hp)
-        want = loss_and_grads(trace, batch, state, hp, svd)
+    @staticmethod
+    def record_sides(monkeypatch):
+        """A list that gains (member count, thread) per losses._contrast call."""
         calls = []
+        contrast = losses._contrast
 
         def recording(a_layers, b_layers, tau):
             calls.append((a_layers[0].shape[0], threading.current_thread()))
             return contrast(a_layers, b_layers, tau)
 
-        contrast = losses._contrast
         monkeypatch.setattr(losses, "_contrast", recording)
-        got = loss_and_grads(trace, batch, state, hp, svd)
-        assert got[0] == want[0] and all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+        return calls
+
+    @staticmethod
+    def assert_user_side_on_the_worker(calls, batch):
         users, items = np.unique(batch.users).size, np.unique(np.concatenate([batch.pos_items, batch.neg_items])).size
         by_thread = {thread: m for m, thread in calls}
         assert len(calls) == 2 and by_thread.pop(threading.main_thread()) == items
         assert list(by_thread.values()) == [users]
 
-    @pytest.mark.parametrize("degenerate", ["user", "item", "both"])
-    def test_degenerate_sides_warn_from_the_calling_thread(self, degenerate, caplog):
+    def test_user_side_runs_on_the_pair_worker(self, monkeypatch):
         ds, a, hp, state, svd, batch = build_setup()
+        trace = forward(state, a, hp=hp)
+        want = loss_and_grads(trace, batch, state, hp, svd)
+        calls = self.record_sides(monkeypatch)
+        got = loss_and_grads(trace, batch, state, hp, svd)
+        assert got[0] == want[0] and all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
+        self.assert_user_side_on_the_worker(calls, batch)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("lone", ["user", "item", "both"])
+    def test_lone_member_sides_keep_the_skip_rule_bytes(self, lone, layers, monkeypatch, caplog):
+        # a one-member side runs like any other, on its usual thread, and its
+        # exact zeros give the bytes the old skip rule gave
+        ds, a, hp, state, svd, batch = build_setup(dropout_p=0.25, layers=layers, seed=30 + layers)
         one_user, one_item = np.zeros(batch.size, dtype=np.int64), np.ones(batch.size, dtype=np.int64)
         batch = TrainBatch(
-            users=one_user if degenerate != "item" else batch.users,
-            pos_items=one_item if degenerate != "user" else batch.pos_items,
-            neg_items=one_item if degenerate != "user" else batch.neg_items,
+            users=one_user if lone != "item" else batch.users,
+            pos_items=one_item if lone != "user" else batch.pos_items,
+            neg_items=one_item if lone != "user" else batch.neg_items,
         )
-        trace = forward(state, a, hp=hp)
-        with caplog.at_level("WARNING", logger="svdgcl"):
-            report = loss_and_grads(trace, batch, state, hp, svd)[0]
-        warned = [r for r in caplog.records if "member" in r.getMessage()]
-        assert len(warned) == (2 if degenerate == "both" else 1)
-        assert all(r.thread == threading.main_thread().ident for r in warned)
-        assert (report.cl_loss_user == 0.0) == (degenerate != "item")
-        assert (report.cl_loss_item == 0.0) == (degenerate != "user")
+        trace = forward(state, a, hp=hp, rng=np.random.default_rng(5))
+        calls = self.record_sides(monkeypatch)
+        with caplog.at_level("DEBUG"):
+            report, gu, gv = loss_and_grads(trace, batch, state, hp, svd)
+        assert caplog.records == []
+        self.assert_user_side_on_the_worker(calls, batch)
+        assert (report.cl_loss_user == 0.0) == (lone != "item")
+        assert (report.cl_loss_item == 0.0) == (lone != "user")
+
+        kept = forward_keeping_lists(state, a, svd, hp, "train", np.random.default_rng(5), True)
+        monkeypatch.setattr(tests.util, "_contrast", contrast_skipping_lone_members)
+        want_report, want_gu, want_gv = loss_and_grads_carried_view(trace, batch, state, hp, svd, kept)
+        assert report == want_report
+        assert gu.tobytes() == want_gu.tobytes() and gv.tobytes() == want_gv.tobytes()
 
 
 class TestPairedProductsKeepTheBytes:

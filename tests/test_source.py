@@ -55,3 +55,37 @@ def test_imported_names_are_used_or_traced(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     dead = sorted(name for name in imported - read if (f"svdgcl.{path.stem}", name) not in TRACED_BY_BENCH)
     assert not dead, f"{path.name} imports {dead} and never uses them"
+
+
+def _is_get_logger(node):
+    """Whether node is a logging.getLogger(...) call."""
+    func = getattr(node, "func", None)
+    return isinstance(func, ast.Attribute) and func.attr == "getLogger" and getattr(func.value, "id", None) == "logging"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_loggers_sit_under_the_package_logger(path):
+    # configure_logging puts its handlers on "svdgcl"; a record from any
+    # other logger never reaches them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [
+        call.args[0].value if len(call.args) == 1 and isinstance(call.args[0], ast.Constant) else None
+        for call in ast.walk(tree)
+        if _is_get_logger(call)
+    ]
+    stray = [n for n in names if not (n == "svdgcl" or (isinstance(n, str) and n.startswith("svdgcl.") and n[7:]))]
+    assert not stray, f"{path.name} asks for loggers {stray} outside svdgcl"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_loggers_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _is_get_logger(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert not bound - read, f"{path.name} binds loggers {sorted(bound - read)} and never logs to them"

@@ -169,9 +169,28 @@ def infonce_layer_one_buffer(a, b, tau):
 def infonce_loss(z_layers, g_layers, members, tau):
     """One side's contrast term as loss_and_grads computes it: the cosine
     InfoNCE between the member rows of each layer's two views, summed over
-    layers and averaged over members (0.0, with a warning, below two)."""
+    layers and averaged over members (exactly 0.0 for a lone member)."""
     members = np.asarray(members, dtype=np.int64)
     return _contrast([z[members] for z in z_layers], [g[members] for g in g_layers], tau)[0]
+
+
+def contrast_skipping_lone_members(a_layers, b_layers, tau):
+    """Frozen copy of losses._contrast from when it skipped a side of fewer
+    than two members: (0.0, None) there, else the per-layer InfoNCE summed
+    over layers and averaged over members, with each layer's (ga, gb).
+
+    Patched in for this module's _contrast, it makes the grads-is-None
+    branch of loss_and_grads_carried_view live again."""
+    m = a_layers[0].shape[0]
+    if m < 2:
+        return 0.0, None
+    total = 0.0
+    grads = []
+    for a, b in zip(a_layers, b_layers):
+        loss_sum, ga, gb = losses._infonce_layer(a, b, tau)
+        total += loss_sum
+        grads.append((ga, gb))
+    return total / m, grads
 
 
 def items_by_user(ds, split="train"):
