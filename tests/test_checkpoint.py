@@ -2,6 +2,7 @@
 
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -77,6 +78,45 @@ class TestRoundTrip:
         ck = load_checkpoint(p1)
         save_checkpoint(p2, ck.state, ck.opt, ck.svd_rank, ck.config_digest)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def philox_words(gen):
+    """counter[4], key[2], buffer[4], buffer_pos, has_uint32, uinteger"""
+    st = gen.bit_generator.state
+    assert st["bit_generator"] == "Philox"
+    head = [*st["state"]["counter"], *st["state"]["key"], *st["buffer"]]
+    return [int(w) for w in head] + [st["buffer_pos"], st["has_uint32"], st["uinteger"]]
+
+
+def test_layout_matches_the_docstring(tmp_path):
+    # the expected bytes follow the module docstring field by field
+    state, opt = fresh(k=2)
+    path = tmp_path / "snap.ckpt"
+    save_checkpoint(path, state, opt, svd_rank=4, config_digest="abc123")
+    m, n = state.e_user.shape[0], state.e_item.shape[0]
+    words = philox_words(state.rng)
+    tables = (state.e_user, state.e_item, opt.m_user, opt.v_user, opt.m_item, opt.v_item)
+    want = b"".join([
+        b"LGCL",
+        struct.pack("<I", 1),
+        struct.pack("<5Q", m, n, 2, state.layers, 4),
+        *(struct.pack(f"<{t.size}d", *t.ravel()) for t in tables),
+        struct.pack("<Q", opt.step),
+        struct.pack("<Q", 13),
+        struct.pack("<13Q", *words),
+        struct.pack("<Q", 6),
+        b"abc123",
+    ])
+    blob = path.read_bytes()
+    assert blob == want
+    ck = load_checkpoint(path)
+    got = (ck.state.e_user, ck.state.e_item, ck.opt.m_user, ck.opt.v_user, ck.opt.m_item, ck.opt.v_item)
+    for table, expected in zip(got, tables):
+        np.testing.assert_array_equal(table, expected)
+        assert table.dtype == np.float64 and table.flags.writeable
+    assert (ck.state.layers, ck.state.embed_dim, ck.opt.step) == (state.layers, 2, opt.step)
+    assert (ck.svd_rank, ck.config_digest) == (4, "abc123")
+    assert philox_words(ck.state.rng) == words
 
 
 class TestAtomicSave:
