@@ -3,7 +3,8 @@
 Layout, all little-endian: 4 magic bytes "LGCL", u32 format version, five
 u64 dims (users, items, embed_dim, layers, svd_rank), the six f64 tables
 row-major (e_user, e_item, then first/second moments in the same order),
-u64 optimizer step, u64 word count plus that many u64 RNG words, and a
+u64 optimizer step, u64 word count plus that many u64 Philox words
+(counter[4], key[2], buffer[4], buffer_pos, has_uint32, uinteger), and a
 length-prefixed UTF-8 config digest. Round-trips are bit-exact. A save
 renames an fsynced temp file over its target, then fsyncs the directory.
 """
@@ -23,6 +24,13 @@ from .optim import OptimizerState
 MAGIC = b"LGCL"
 VERSION = 1
 
+_HEAD = struct.Struct("<4sI5Q")
+# (owner, field, rows) of each table, in file order
+_TABLES = (
+    ("state", "e_user", "users"), ("state", "e_item", "items"),
+    ("opt", "m_user", "users"), ("opt", "v_user", "users"),
+    ("opt", "m_item", "items"), ("opt", "v_item", "items"),
+)
 _RNG_WORDS = 13
 
 
@@ -30,26 +38,22 @@ def _pack_rng(gen: np.random.Generator) -> np.ndarray:
     st = gen.bit_generator.state
     if st.get("bit_generator") != "Philox":
         raise ValueError("only Philox generator state is supported")
-    words = np.empty(_RNG_WORDS, dtype="<u8")
-    words[0:4] = st["state"]["counter"]
-    words[4:6] = st["state"]["key"]
-    words[6:10] = st["buffer"]
-    words[10] = st["buffer_pos"]
-    words[11] = st["has_uint32"]
-    words[12] = st["uinteger"]
-    return words
+    return np.array(
+        [*st["state"]["counter"], *st["state"]["key"], *st["buffer"], st["buffer_pos"], st["has_uint32"], st["uinteger"]],
+        dtype="<u8",
+    )
 
 
 def _unpack_rng(words: np.ndarray) -> np.random.Generator:
     bg = np.random.Philox()
-    st = bg.state
-    st["state"]["counter"] = words[0:4].astype(np.uint64)
-    st["state"]["key"] = words[4:6].astype(np.uint64)
-    st["buffer"] = words[6:10].astype(np.uint64)
-    st["buffer_pos"] = int(words[10])
-    st["has_uint32"] = int(words[11])
-    st["uinteger"] = int(words[12])
-    bg.state = st
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": words[0:4].astype(np.uint64), "key": words[4:6].astype(np.uint64)},
+        "buffer": words[6:10].astype(np.uint64),
+        "buffer_pos": int(words[10]),
+        "has_uint32": int(words[11]),
+        "uinteger": int(words[12]),
+    }
     return np.random.Generator(bg)
 
 
@@ -66,24 +70,20 @@ class Checkpoint:
 def save_checkpoint(path, state: ModelState, opt: OptimizerState, svd_rank: int, config_digest: str):
     digest_bytes = config_digest.encode("utf-8")
     m, k = state.e_user.shape
-    n = state.e_item.shape[0]
+    owners = {"state": state, "opt": opt}
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<5Q", m, n, k, state.layers, svd_rank))
-            for table in (state.e_user, state.e_item, opt.m_user, opt.v_user, opt.m_item, opt.v_item):
-                fh.write(np.ascontiguousarray(table, dtype="<f8").tobytes())
-            fh.write(struct.pack("<Q", opt.step))
-            fh.write(struct.pack("<Q", _RNG_WORDS))
+            fh.write(_HEAD.pack(MAGIC, VERSION, m, state.e_item.shape[0], k, state.layers, svd_rank))
+            for owner, name, _ in _TABLES:
+                fh.write(np.ascontiguousarray(getattr(owners[owner], name), dtype="<f8").tobytes())
+            fh.write(struct.pack("<2Q", opt.step, _RNG_WORDS))
             fh.write(_pack_rng(state.rng).tobytes())
-            fh.write(struct.pack("<Q", len(digest_bytes)))
-            fh.write(digest_bytes)
+            fh.write(struct.pack("<Q", len(digest_bytes)) + digest_bytes)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        try:  # then the rename: fsync the directory, where the OS can open one
+        try:  # not every OS can open a directory
             dir_fd = os.open(Path(path).parent, os.O_RDONLY)
         except OSError:
             return
@@ -113,23 +113,15 @@ def load_checkpoint(path) -> Checkpoint:
 
     if bytes(take(4)) != MAGIC:
         raise DataError(f"{path} is not a checkpoint: bad magic")
-    (version,) = struct.unpack("<I", take(4))
+    _, version, m, n, k, layers, svd_rank = _HEAD.unpack(MAGIC + take(_HEAD.size - 4))
     if version != VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
-    m, n, k, layers, svd_rank = struct.unpack("<5Q", take(40))
-
-    def table(rows: int) -> np.ndarray:
-        raw = take(rows * k * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, k).copy()
-
-    e_user = table(m)
-    e_item = table(n)
-    m_user = table(m)
-    v_user = table(m)
-    m_item = table(n)
-    v_item = table(n)
-    (step,) = struct.unpack("<Q", take(8))
-    (words,) = struct.unpack("<Q", take(8))
+    rows = {"users": m, "items": n}
+    tables: dict = {"state": {}, "opt": {}}
+    for owner, name, side in _TABLES:
+        raw = take(rows[side] * k * 8)
+        tables[owner][name] = np.frombuffer(raw, dtype="<f8").reshape(rows[side], k).copy()
+    step, words = struct.unpack("<2Q", take(16))
     if words != _RNG_WORDS:
         raise DataError(f"unexpected RNG state size {words}")
     try:
@@ -143,19 +135,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise DataError(f"checkpoint {path} has a config digest that is not UTF-8: {exc}") from exc
     if off != len(blob):
         raise DataError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
-
-    state = ModelState(
-        e_user=e_user,
-        e_item=e_item,
-        layers=int(layers),
-        embed_dim=int(k),
-        rng=rng,
+    return Checkpoint(
+        state=ModelState(**tables["state"], layers=int(layers), embed_dim=int(k), rng=rng),
+        opt=OptimizerState(**tables["opt"], step=int(step)),
+        svd_rank=int(svd_rank),
+        config_digest=digest,
     )
-    opt = OptimizerState(
-        m_user=m_user,
-        v_user=v_user,
-        m_item=m_item,
-        v_item=v_item,
-        step=int(step),
-    )
-    return Checkpoint(state=state, opt=opt, svd_rank=int(svd_rank), config_digest=digest)

@@ -226,13 +226,9 @@ def _factorize(config: RunConfig, a_norm):
         ) from exc
 
 
-def _log_eval(epoch: int, res: EvalResult, ks):
-    parts = [f"recall@{k}={res.recall[k]:.6f} ndcg@{k}={res.ndcg[k]:.6f}" for k in ks]
+def _log_eval(epoch: int, res: EvalResult):
+    parts = [f"recall@{k}={res.recall[k]:.6f} ndcg@{k}={res.ndcg[k]:.6f}" for k in res.recall]
     logger.info("eval epoch=%d %s users=%d", epoch, " ".join(parts), res.users_evaluated)
-
-
-def _primary_k(ks) -> int:
-    return 20 if 20 in ks else ks[0]
 
 
 @_logged_run
@@ -251,8 +247,7 @@ def run_training(config: RunConfig) -> TrainResult:
     opt = init_optimizer(state)
     svd = _factorize(config, a_norm) if config.lambda1 > 0 else None
 
-    ks = sorted(set(config.eval_ks))
-    primary = _primary_k(ks)
+    primary = 20 if 20 in config.eval_ks else min(config.eval_ks)
     batches = max(1, math.ceil(ds.train.shape[0] / config.batch_size))
     val_available = ds.validation.shape[0] > 0
     ckpt_path = Path(config.checkpoint_dir) / "best.ckpt"
@@ -287,8 +282,8 @@ def run_training(config: RunConfig) -> TrainResult:
             epoch, mean[0], mean[1], mean[2], mean[3], mean[4],
         )
         if val_available and epoch % config.eval_every == 0:
-            res = evaluate(state, a_norm, None, ds, ks, split="val")
-            _log_eval(epoch, res, ks)
+            res = evaluate(state, a_norm, None, ds, config.eval_ks, split="val")
+            _log_eval(epoch, res)
             metric = res.recall[primary]
             if metric > best_metric:
                 best_metric = metric
@@ -313,8 +308,8 @@ def run_training(config: RunConfig) -> TrainResult:
             save_checkpoint(ckpt_path, state, opt, config.svd_rank, config.digest())
         checkpoint_used = str(ckpt_path)
 
-    test_result = evaluate(state, a_norm, None, ds, ks, split="test")
-    _log_eval(len(epoch_seconds), test_result, ks)
+    test_result = evaluate(state, a_norm, None, ds, config.eval_ks, split="test")
+    _log_eval(len(epoch_seconds), test_result)
     return TrainResult(
         test_result=test_result,
         best_epoch=best_epoch,
@@ -337,9 +332,8 @@ def run_eval(config: RunConfig, checkpoint_path) -> EvalResult:
     want = (ds.num_users, ds.num_items, config.embed_dim, config.layers)
     if got != want:
         raise DataError(f"checkpoint (users, items, embed_dim, layers) is {got} but the dataset and config give {want}")
-    ks = sorted(set(config.eval_ks))
-    res = evaluate(loaded.state, a_norm, None, ds, ks, split="test")
-    _log_eval(loaded.opt.step, res, ks)
+    res = evaluate(loaded.state, a_norm, None, ds, config.eval_ks, split="test")
+    _log_eval(loaded.opt.step, res)
     return res
 
 

@@ -63,9 +63,9 @@ class TestPrepare:
         a = prepare_movielens_100k(src, tmp_path / "a", seed=4)
         b = prepare_movielens_100k(src, tmp_path / "b", seed=4)
         c = prepare_movielens_100k(src, tmp_path / "c", seed=5)
-        assert open(a["train"]).read() == open(b["train"]).read()
-        assert open(a["test"]).read() == open(b["test"]).read()
-        assert open(a["train"]).read() != open(c["train"]).read()
+        assert a["train"].read_text() == b["train"].read_text()
+        assert a["test"].read_text() == b["test"].read_text()
+        assert a["train"].read_text() != c["train"].read_text()
 
     def test_output_loads_warm(self, tmp_path):
         # several seeds: held-out users/items must always be covered by train

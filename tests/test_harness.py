@@ -519,6 +519,20 @@ class TestTraining:
         run_training(small_config(tmp_path, epochs=1))
         assert calls == [platform.libc_ver()[0] == "glibc"]
 
+    def test_unsorted_repeated_cutoffs_log_each_once_in_order(self, tmp_path):
+        logs = []
+        for i, ks in enumerate(([10, 3, 3, 1], [1, 3, 10])):
+            logs.append(tmp_path / f"{i}.log")
+            ck = str(tmp_path / f"ck{i}")
+            run_training(small_config(tmp_path, epochs=6, eval_ks=ks, checkpoint_dir=ck, log_path=str(logs[-1])))
+        evals = [line for line in logs[0].read_text().splitlines() if line.startswith("eval ")]
+        assert len(evals) == 3
+        assert all(re.findall(r"recall@(\d+)=", line) == ["1", "3", "10"] for line in evals)
+        assert logs[0].read_text() == logs[1].read_text()
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+    )
     def test_runaway_learning_rate_raises_numerical_error(self, tmp_path):
         cfg = small_config(tmp_path, learning_rate=1e200, epochs=4)
         with pytest.raises(NumericalError, match="epoch"):

@@ -12,7 +12,7 @@ from svdgcl.synth import HOLDOUT_MARGIN, TRAIN_WINDOW, generate_blocks
 
 def read_pairs(path):
     out = []
-    for line in open(path):
+    for line in path.read_text().splitlines():
         u, i = line.split()
         out.append((int(u), int(i)))
     return out
@@ -97,9 +97,8 @@ class TestDeterminism:
         p2 = generate_blocks(tmp_path / "b", 9, 11, 2, 0.1, 21)
         p3 = generate_blocks(tmp_path / "c", 9, 11, 2, 0.1, 22)
         for split in ("train", "val", "test"):
-            b1 = open(p1[split], "rb").read()
-            assert b1 == open(p2[split], "rb").read()
-        assert open(p1["train"], "rb").read() != open(p3["train"], "rb").read()
+            assert p1[split].read_bytes() == p2[split].read_bytes()
+        assert p1["train"].read_bytes() != p3["train"].read_bytes()
 
     def test_bytes_pinned(self, tmp_path):
         # sha256s written by the generator before it shared the package's pair writer
