@@ -13,12 +13,13 @@ The contrastive term's m x m softmax matrix dominates the step cost on
 real data, so loss_and_grads, the one entry point, builds it once and
 reads both the loss value and its gradients off the same intermediates.
 The contrast reads only the member rows of each view, the layer outputs
-leaky_relu(pre[members]) of the trace's pre-activations. Each contrast
-layer walks its anchors in row blocks, one block of at most
-CONTRAST_BLOCK_BYTES at a time, overwritten in place from the logits to
-the unnormalized softmax. The similarities are never kept: the gradient
-needs only m x d products with each block, by the identity
-sum_j ds_ij * s_ij = a_i . (ds @ b)_i for s = a @ b.T.
+leaky_relu(pre[members]) of the trace's pre-activations, cast to
+hp.precision; all else is float64. Each contrast layer walks its anchors
+in row blocks, one block of at most CONTRAST_BLOCK_BYTES at a time,
+overwritten in place from the logits to the unnormalized softmax. The
+similarities are never kept: the gradient needs only m x d products with
+each block, by the identity sum_j ds_ij * s_ij = a_i . (ds @ b)_i for
+s = a @ b.T. Both sides' layers are split over the two threads by cost.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from .model import side_by_side, spmm_pair
 from .model import spmm, spmm_t
 
 MAX_NEG_TRIES = 100
-# bytes of one block of float64 contrast logits, anchor rows x all m members;
-# each side runs its blocks one at a time, and the two sides run at once
+# bytes of one block of contrast logits in the run's precision, anchor rows x
+# all m members; each of the two threads holds one block at a time
 CONTRAST_BLOCK_BYTES = 64 << 20
 
 
@@ -144,8 +145,8 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float):
     of two views.
 
     Returns (loss_sum, ga, gb): loss_sum is the plain per-anchor sum (no
-    averaging, no weighting); ga/gb are d(loss_sum)/da, d(loss_sum)/db.
-    Zero-norm rows contribute similarity 0 and receive zero gradient.
+    averaging, no weighting); ga/gb are d(loss_sum)/da, d(loss_sum)/db, in
+    float64. Zero-norm rows contribute similarity 0 and receive zero gradient.
 
     The anchors run in row blocks; one buffer w of at most
     CONTRAST_BLOCK_BYTES holds a block's logits s / tau against all m members
@@ -158,11 +159,14 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float):
     (an_i . G_i) an_i = sum_j ds_ij s_ij an_i, and divides by |a_i|
     (likewise H with bn and b), so no ds * s is formed either. The
     gradients match the unfused formulas to the last few bits.
+    The products, the row max, the exp, G / rowsum and H (off rowsum's copy)
+    run in the dtype of a and b, so no block is promoted; the row sums, the
+    log, the terms and the gradients' final steps run in float64.
     """
     an, na = _normalize_rows(a)
     bn, nb = _normalize_rows(b)
     m = an.shape[0]
-    rows = max(1, CONTRAST_BLOCK_BYTES // (8 * m))
+    rows = max(1, CONTRAST_BLOCK_BYTES // (an.itemsize * m))
     terms = np.empty(m)
     ga = np.empty_like(an)
     for lo in range(0, m, rows):
@@ -173,11 +177,13 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float):
         peak = w.max(axis=1, keepdims=True)
         w -= peak
         np.exp(w, out=w)
-        rowsum = w.sum(axis=1, keepdims=True)
+        rowsum = w.sum(axis=1, keepdims=True, dtype=np.float64)
         terms[blk] = peak[:, 0] + np.log(rowsum[:, 0]) - diag
         np.divide(w @ bn, rowsum, out=ga[blk])
-        h = w.T @ (an[blk] / rowsum)
+        h = w.T @ (an[blk] / rowsum.astype(w.dtype, copy=False))
         gb = h if lo == 0 else np.add(gb, h, out=gb)
+    del w  # the last block, before the float64 copies
+    ga, gb = ga.astype(np.float64, copy=False), gb.astype(np.float64, copy=False)
     for grad, unit, norms, own in ((ga, an, na, bn), (gb, bn, nb, an)):
         grad -= own
         grad /= tau
@@ -188,22 +194,41 @@ def _infonce_layer(a: np.ndarray, b: np.ndarray, tau: float):
     return float(np.sum(terms)), ga, gb
 
 
-def _contrast(a_layers, b_layers, tau: float):
-    """One side's contrast: the per-layer InfoNCE of the member rows
-    a_layers[t], b_layers[t], summed over layers and averaged over members.
+def _plan(counts, layers: int):
+    """The calling thread's and the worker's lists of (side, layer) tasks,
+    side s of counts[s] members: largest m**2 first, ties by side and then
+    layer, each to the lighter list (the first on a tie)."""
+    tasks, lists = [(s, t) for s in range(len(counts)) for t in range(layers)], ([], [])
+    for task in sorted(tasks, key=lambda st: (-counts[st[0]], st)):
+        min(lists, key=lambda held: sum(counts[s] ** 2 for s, _ in held)).append(task)
+    return lists
 
-    Returns (loss, grads), grads holding each layer's (ga, gb) of the
-    unaveraged sum. A lone member is its own only candidate, so its loss
-    is log 1: exactly 0.0, with every gradient entry +0.0.
+
+def _contrast(sides, tau: float):
+    """Each side's contrast: the per-layer InfoNCE of the member rows
+    a_layers[t], b_layers[t], summed over layers in layer order and averaged
+    over members, for sides of (a_layers, b_layers).
+
+    Returns each side's (loss, grads), grads holding each layer's (ga, gb)
+    of the unaveraged sum. The layers of all sides run on the calling
+    thread and the pair worker as _plan splits them; the results do not
+    depend on the split. A lone member is its own only candidate, so its
+    loss is log 1: exactly 0.0, with every gradient entry +0.0.
     """
-    m = a_layers[0].shape[0]
-    total = 0.0
-    grads = []
-    for a, b in zip(a_layers, b_layers):
-        loss_sum, ga, gb = _infonce_layer(a, b, tau)
-        total += loss_sum
-        grads.append((ga, gb))
-    return total / m, grads
+    counts, layers = [a_layers[0].shape[0] for a_layers, _ in sides], len(sides[0][0])
+
+    def run(tasks):
+        return {(s, t): _infonce_layer(sides[s][0][t], sides[s][1][t], tau) for s, t in tasks}
+
+    here, there = side_by_side(*(functools.partial(run, tasks) for tasks in _plan(counts, layers)))
+    done = here | there
+    out = []
+    for s, m in enumerate(counts):
+        total = 0.0
+        for t in range(layers):
+            total += done[s, t][0]
+        out.append((total / m, [done[s, t][1:] for t in range(layers)]))
+    return out
 
 
 def _cl_members(batch: TrainBatch, hp: HyperParams, num_users: int, num_items: int):
@@ -240,12 +265,12 @@ def loss_and_grads(
                 hu, hv = next_state(trace.pre_z_user[t - 1], hu), next_state(trace.pre_z_item[t - 1], hv)
             pre_g[0].append(svd_propagate(svd, hv, "user")[members[0]])
             pre_g[1].append(svd_propagate(svd, hu, "item")[members[1]])
-        user, item = (
-            functools.partial(_contrast, [leaky_relu(x[mem]) for x in zs], [leaky_relu(x) for x in gs], hp.temperature)
+        # each side's (a_layers, b_layers): the member rows of both views, in the contrast's precision
+        rows = [
+            [[leaky_relu(x).astype(hp.precision, copy=False) for x in xs] for xs in ([z[mem] for z in zs], gs)]
             for mem, zs, gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g)
-        )
-        # user side on the pair worker, item side here
-        sides = [(mem, pre_gs, *res) for mem, pre_gs, res in zip(members, pre_g, side_by_side(item, user)[::-1])]
+        ]
+        sides = [(mem, pre_gs, *res) for mem, pre_gs, res in zip(members, pre_g, _contrast(rows, hp.temperature))]
     cl_u, cl_i = (sides[0][2], sides[1][2]) if sides else (0.0, 0.0)
     # after the contrast, so that its batch rows are not live during the m x m blocks
     fu, diff, margins, rec = _ranking_terms(trace, batch)

@@ -34,6 +34,7 @@ from svdgcl.losses import (
 from svdgcl.model import ForwardTrace, HyperParams, ModelState, forward, init_model, leaky_relu
 import tests.util
 from tests.util import (
+    contrast_serial,
     contrast_skipping_lone_members,
     forward_keeping_lists,
     infonce_layer_one_buffer,
@@ -248,20 +249,22 @@ class TestContrast:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("tau", [0.01, 0.5, 1.0, 10.0])
     @pytest.mark.parametrize("zero_row", [None, "a", "b"])
-    def test_lone_member_gives_exact_zeros(self, layers, tau, zero_row, caplog):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lone_member_gives_exact_zeros(self, layers, tau, zero_row, dtype, caplog):
         # InfoNCE over one candidate is log 1: no warning, no skip, just zeros
         rng = np.random.default_rng(layers * 100 + int(tau * 100))
-        a = [rng.standard_normal((1, 5)) * 10.0 ** rng.uniform(-3, 3) for _ in range(layers)]
-        b = [rng.standard_normal((1, 5)) * 10.0 ** rng.uniform(-3, 3) for _ in range(layers)]
+        a = [(rng.standard_normal((1, 5)) * 10.0 ** rng.uniform(-3, 3)).astype(dtype) for _ in range(layers)]
+        b = [(rng.standard_normal((1, 5)) * 10.0 ** rng.uniform(-3, 3)).astype(dtype) for _ in range(layers)]
         if zero_row is not None:
             (a if zero_row == "a" else b)[-1][0] = 0.0
         with caplog.at_level("DEBUG"):
-            loss, grads = losses._contrast(a, b, tau)
+            [(loss, grads)] = losses._contrast([(a, b)], tau)
         assert loss == 0.0 and not np.signbit(loss)
         assert len(grads) == layers
         for ga, gb in grads:
             assert ga.shape == gb.shape == (1, 5)
             for g in (ga, gb):
+                assert g.dtype == np.float64
                 assert not g.any() and not np.signbit(g).any()
         assert caplog.records == []
 
@@ -345,7 +348,9 @@ class TestFusedContrastLayer:
             if name == zero_row:
                 assert not grad[m // 2].any()
 
-    def test_peak_allocation_is_one_m_by_m_buffer(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_allocation_is_one_m_by_m_buffer(self, dtype):
+        # a float32 block promoted to float64 anywhere would double the peak
         m = 1000
         rng = np.random.default_rng(5)
         z = rng.standard_normal((m, 64))
@@ -354,11 +359,11 @@ class TestFusedContrastLayer:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _infonce_layer(z[members], g[members], 0.7)
+            _infonce_layer(z[members].astype(dtype, copy=False), g[members].astype(dtype, copy=False), 0.7)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * m * m
+        assert peak < 1.5 * np.dtype(dtype).itemsize * m * m
 
 
 def contrast_rows(m, zero_row, d=16):
@@ -432,13 +437,14 @@ class TestBlockedContrastLayer:
         elif zero_row == "g":
             assert not got[2][m // 2].any()
 
-    def test_peak_allocation_follows_the_block_budget(self, monkeypatch):
-        # the one-buffer layer peaks at about 1.34 * 8 * m**2 here
-        m = 1000
-        monkeypatch.setattr(losses, "CONTRAST_BLOCK_BYTES", 8 * m * m // 8)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_allocation_follows_the_block_budget(self, monkeypatch, dtype):
+        # the one-buffer layer peaks at about 1.34 * 8 * m**2 here at float64
+        m, size = 1000, np.dtype(dtype).itemsize
+        monkeypatch.setattr(losses, "CONTRAST_BLOCK_BYTES", size * m * m // 8)
         rng = np.random.default_rng(5)
-        z = rng.standard_normal((m, 64))
-        g = rng.standard_normal((m, 64))
+        z = rng.standard_normal((m, 64)).astype(dtype, copy=False)
+        g = rng.standard_normal((m, 64)).astype(dtype, copy=False)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -446,7 +452,7 @@ class TestBlockedContrastLayer:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 0.75 * 8 * m * m
+        assert peak < 0.75 * size * m * m
 
 
 class TestScatterRows:
@@ -480,7 +486,8 @@ class TestScatterRows:
         assert got.tobytes() == want.tobytes()
 
 
-def build_setup(cl_scope="in-batch", lambda1=0.3, dropout_p=0.0, layers=2, seed=13):
+def build_setup(cl_scope="in-batch", lambda1=0.3, dropout_p=0.0, layers=2, seed=13, precision="float64"):
+    # float64 by default: the precision the frozen copies and finite differences check
     ds = tiny_dataset()
     a = normalize_adjacency(build_adjacency(ds))
     hp = HyperParams(
@@ -493,6 +500,7 @@ def build_setup(cl_scope="in-batch", lambda1=0.3, dropout_p=0.0, layers=2, seed=
         lambda2=1e-4,
         seed=seed,
         cl_scope=cl_scope,
+        precision=precision,
     )
     state = init_model(ds, hp)
     svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=seed) if lambda1 > 0 else None
@@ -554,41 +562,96 @@ class TestObjective:
         assert gi.shape == state.e_item.shape
 
 
-class TestContrastSidesOnTwoThreads:
+def contrast_sides(counts, layers, dtype, seed, d=16):
+    """Random member rows of both views for sides of counts[s] members, as
+    losses._contrast takes them."""
+    rng = np.random.default_rng(seed)
+    return [
+        tuple([rng.standard_normal((m, d)).astype(dtype) for _ in range(layers)] for _ in range(2)) for m in counts
+    ]
+
+
+class TestContrastLayersOnTwoThreads:
     @staticmethod
-    def record_sides(monkeypatch):
-        """A list that gains (member count, thread) per losses._contrast call."""
+    def record_layers(monkeypatch):
+        """A list that gains (member count, thread) per losses._infonce_layer call."""
         calls = []
-        contrast = losses._contrast
+        layer = losses._infonce_layer
 
-        def recording(a_layers, b_layers, tau):
-            calls.append((a_layers[0].shape[0], threading.current_thread()))
-            return contrast(a_layers, b_layers, tau)
+        def recording(a, b, tau):
+            calls.append((a.shape[0], threading.current_thread()))
+            return layer(a, b, tau)
 
-        monkeypatch.setattr(losses, "_contrast", recording)
+        monkeypatch.setattr(losses, "_infonce_layer", recording)
         return calls
 
     @staticmethod
-    def assert_user_side_on_the_worker(calls, batch):
-        users, items = np.unique(batch.users).size, np.unique(np.concatenate([batch.pos_items, batch.neg_items])).size
-        by_thread = {thread: m for m, thread in calls}
-        assert len(calls) == 2 and by_thread.pop(threading.main_thread()) == items
-        assert list(by_thread.values()) == [users]
+    def assert_placed_by_the_plan(calls, counts, layers):
+        # the calling thread runs the plan's first list, the pair worker its second
+        here, there = losses._plan(counts, layers)
+        main = threading.main_thread()
+        assert sorted(m for m, thread in calls if thread is main) == sorted(counts[s] for s, _ in here)
+        assert sorted(m for m, thread in calls if thread is not main) == sorted(counts[s] for s, _ in there)
+        assert all(thread.name.startswith("svdgcl-pair") for _, thread in calls if thread is not main)
 
-    def test_user_side_runs_on_the_pair_worker(self, monkeypatch):
-        ds, a, hp, state, svd, batch = build_setup()
+    @staticmethod
+    def batch_counts(batch):
+        return [np.unique(batch.users).size, np.unique(np.concatenate([batch.pos_items, batch.neg_items])).size]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_plan_balances_by_cost_with_ties_by_side_then_layer(self, layers):
+        # S-like in-batch counts, users then items: each thread gets one item layer first
+        here, there = losses._plan([640, 1190], 2)
+        assert (here, there) == ([(1, 0), (0, 0)], [(1, 1), (0, 1)])
+        # equal costs alternate, starting on the calling thread
+        here, there = losses._plan([7, 7], layers)
+        tasks = [(s, t) for s in range(2) for t in range(layers)]
+        assert (here, there) == (tasks[0::2], tasks[1::2])
+        # one side far larger: its layers spread, the small side fills in
+        assert losses._plan([1, 100], 3) == ([(1, 0), (1, 2)], [(1, 1), (0, 0), (0, 1), (0, 2)])
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("counts", [(640, 1190), (9, 9), (1, 12), (5, 1), (1, 1)])
+    def test_plan_is_a_pure_function_of_the_member_counts(self, counts, layers, monkeypatch):
+        plan = losses._plan(list(counts), layers)
+        assert losses._plan(list(counts), layers) == plan
+        assert sorted(plan[0] + plan[1]) == [(s, t) for s in range(2) for t in range(layers)]
+        calls = self.record_layers(monkeypatch)
+        for seed in (1, 2):
+            calls.clear()
+            losses._contrast(contrast_sides(counts, layers, np.float32, seed), 0.5)
+            self.assert_placed_by_the_plan(calls, list(counts), layers)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("counts", [(640, 1190), (9, 9), (1, 12)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_balanced_results_equal_the_serial_sides(self, counts, layers, dtype):
+        sides = contrast_sides(counts, layers, dtype, seed=len(counts) * layers)
+        got = losses._contrast(sides, 0.7)
+        assert len(got) == len(sides)
+        for (loss, grads), (a_layers, b_layers) in zip(got, sides):
+            want_loss, want_grads = contrast_serial(a_layers, b_layers, 0.7)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert len(grads) == len(want_grads) == layers
+            for pair, want_pair in zip(grads, want_grads):
+                for g, w in zip(pair, want_pair):
+                    assert g.dtype == np.float64 and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_layers_run_where_the_plan_puts_them(self, precision, monkeypatch):
+        ds, a, hp, state, svd, batch = build_setup(precision=precision)
         trace = forward(state, a, hp=hp)
         want = loss_and_grads(trace, batch, state, hp, svd)
-        calls = self.record_sides(monkeypatch)
+        calls = self.record_layers(monkeypatch)
         got = loss_and_grads(trace, batch, state, hp, svd)
         assert got[0] == want[0] and all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
-        self.assert_user_side_on_the_worker(calls, batch)
+        self.assert_placed_by_the_plan(calls, self.batch_counts(batch), hp.layers)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("lone", ["user", "item", "both"])
     def test_lone_member_sides_keep_the_skip_rule_bytes(self, lone, layers, monkeypatch, caplog):
-        # a one-member side runs like any other, on its usual thread, and its
-        # exact zeros give the bytes the old skip rule gave
+        # a one-member side runs like any other, where the plan puts it, and
+        # its exact zeros give the bytes the old skip rule gave
         ds, a, hp, state, svd, batch = build_setup(dropout_p=0.25, layers=layers, seed=30 + layers)
         one_user, one_item = np.zeros(batch.size, dtype=np.int64), np.ones(batch.size, dtype=np.int64)
         batch = TrainBatch(
@@ -597,16 +660,16 @@ class TestContrastSidesOnTwoThreads:
             neg_items=one_item if lone != "user" else batch.neg_items,
         )
         trace = forward(state, a, hp=hp, rng=np.random.default_rng(5))
-        calls = self.record_sides(monkeypatch)
+        calls = self.record_layers(monkeypatch)
         with caplog.at_level("DEBUG"):
             report, gu, gv = loss_and_grads(trace, batch, state, hp, svd)
         assert caplog.records == []
-        self.assert_user_side_on_the_worker(calls, batch)
+        self.assert_placed_by_the_plan(calls, self.batch_counts(batch), layers)
         assert (report.cl_loss_user == 0.0) == (lone != "item")
         assert (report.cl_loss_item == 0.0) == (lone != "user")
 
         kept = forward_keeping_lists(state, a, svd, hp, "train", np.random.default_rng(5), True)
-        monkeypatch.setattr(tests.util, "_contrast", contrast_skipping_lone_members)
+        monkeypatch.setattr(tests.util, "contrast_serial", contrast_skipping_lone_members)
         want_report, want_gu, want_gv = loss_and_grads_carried_view(trace, batch, state, hp, svd, kept)
         assert report == want_report
         assert gu.tobytes() == want_gu.tobytes() and gv.tobytes() == want_gv.tobytes()
@@ -618,7 +681,9 @@ class TestPairedProductsKeepTheBytes:
         # big enough for the worker's product to overlap the main thread's
         ds = tiny_dataset(num_users=1500, num_items=1200)
         a = normalize_adjacency(build_adjacency(ds))
-        hp = HyperParams(embed_dim=32, layers=3, svd_rank=3, dropout_p=0.25, lambda1=lambda1, seed=4)
+        hp = HyperParams(
+            embed_dim=32, layers=3, svd_rank=3, dropout_p=0.25, lambda1=lambda1, seed=4, precision="float64"
+        )
         state = init_model(ds, hp)
         svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=4) if lambda1 > 0 else None
         batch = sample_batch(ds, 512, np.random.default_rng(4))
@@ -749,6 +814,7 @@ def knob_space_cases(draw):
         lambda2=1e-4,
         seed=seed,
         cl_scope=draw(st.sampled_from(["in-batch", "full-population"])),
+        precision="float64",
     )
     triples = draw(
         st.lists(
@@ -771,3 +837,22 @@ class TestKnobSpaceGradients:
         state, a, svd, hp, batch, seed = case
         worst = worst_fd_error(state, a, svd, hp, batch, seed, floor=1e-4)
         assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
+
+
+class TestFloat32Contrast:
+    # the float32 blocks against the float64 path on the same case: over the
+    # tiny cases at tau 0.2-2 the gradient gap read at most 1.5e-7 of the
+    # float64 gradient's largest entry
+    @given(knob_space_cases())
+    def test_gradients_and_loss_match_the_float64_path(self, case):
+        state, a, svd, hp, batch, seed = case
+        out = {}
+        for precision in ("float32", "float64"):
+            run = dataclasses.replace(hp, precision=precision)
+            out[precision] = loss_and_grads(forward(state, a, hp=run, rng=np.random.default_rng(seed)), batch, state, run, svd)
+        (r32, *g32), (r64, *g64) = out["float32"], out["float64"]
+        scale = max(np.max(np.abs(g)) for g in g64)
+        for got, want in zip(g32, g64):
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-5 * scale
+        assert abs(r32.total - r64.total) <= 1e-6 * abs(r64.total)

@@ -20,7 +20,6 @@ from svdgcl.losses import (
     LossReport,
     TrainBatch,
     _cl_members,
-    _contrast,
     _ranking_terms,
     _scatter_rows,
     l2_reg,
@@ -171,7 +170,21 @@ def infonce_loss(z_layers, g_layers, members, tau):
     InfoNCE between the member rows of each layer's two views, summed over
     layers and averaged over members (exactly 0.0 for a lone member)."""
     members = np.asarray(members, dtype=np.int64)
-    return _contrast([z[members] for z in z_layers], [g[members] for g in g_layers], tau)[0]
+    return losses._contrast([([z[members] for z in z_layers], [g[members] for g in g_layers])], tau)[0][0]
+
+
+def contrast_serial(a_layers, b_layers, tau):
+    """Frozen copy of losses._contrast from when it ran one side's layers
+    one after another on one thread: the per-layer InfoNCE summed over
+    layers and averaged over members, with each layer's (ga, gb)."""
+    m = a_layers[0].shape[0]
+    total = 0.0
+    grads = []
+    for a, b in zip(a_layers, b_layers):
+        loss_sum, ga, gb = losses._infonce_layer(a, b, tau)
+        total += loss_sum
+        grads.append((ga, gb))
+    return total / m, grads
 
 
 def contrast_skipping_lone_members(a_layers, b_layers, tau):
@@ -179,7 +192,7 @@ def contrast_skipping_lone_members(a_layers, b_layers, tau):
     than two members: (0.0, None) there, else the per-layer InfoNCE summed
     over layers and averaged over members, with each layer's (ga, gb).
 
-    Patched in for this module's _contrast, it makes the grads-is-None
+    Patched in for this module's contrast_serial, it makes the grads-is-None
     branch of loss_and_grads_carried_view live again."""
     m = a_layers[0].shape[0]
     if m < 2:
@@ -369,7 +382,8 @@ def loss_and_grads_carried_view(trace, batch, state, hp, svd, kept):
     """Frozen copy of losses.loss_and_grads from when the forward pass carried
     the global view: each layer's full view tables pre_g, read here from
     kept, the output of forward_keeping_lists(..., with_global_view=True)
-    with the trace's masks. Everything else comes from the trace."""
+    with the trace's masks. Everything else comes from the trace. Its
+    contrast runs in float64, as loss_and_grads does at precision float64."""
     with_view = hp.lambda1 > 0
     sides = []
     pre_g = (kept["pre_g_user"], kept["pre_g_item"])
@@ -378,7 +392,7 @@ def loss_and_grads_carried_view(trace, batch, state, hp, svd, kept):
         for mem, pre_z, pre_gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g):
             z_rows = [leaky_relu(x[mem]) for x in pre_z]
             g_rows = [leaky_relu(x[mem]) for x in pre_gs]
-            sides.append((mem, *_contrast(z_rows, g_rows, hp.temperature)))
+            sides.append((mem, *contrast_serial(z_rows, g_rows, hp.temperature)))
     cl_u, cl_i = (sides[0][1], sides[1][1]) if sides else (0.0, 0.0)
     fu, diff, margins, rec = _ranking_terms(trace, batch)
     reg = l2_reg(state)
