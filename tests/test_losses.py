@@ -849,7 +849,8 @@ class TestFloat32Contrast:
         out = {}
         for precision in ("float32", "float64"):
             run = dataclasses.replace(hp, precision=precision)
-            out[precision] = loss_and_grads(forward(state, a, hp=run, rng=np.random.default_rng(seed)), batch, state, run, svd)
+            trace = forward(state, a, hp=run, rng=np.random.default_rng(seed))
+            out[precision] = loss_and_grads(trace, batch, state, run, svd)
         (r32, *g32), (r64, *g64) = out["float32"], out["float64"]
         scale = max(np.max(np.abs(g)) for g in g64)
         for got, want in zip(g32, g64):
