@@ -14,7 +14,7 @@ real data, so loss_and_grads, the one entry point, builds it once and
 reads both the loss value and its gradients off the same intermediates.
 The contrast reads only the member rows of each view, the layer outputs
 leaky_relu(pre[members]) of the trace's pre-activations, cast to
-hp.precision; all else is float64. Each contrast layer walks its anchors
+CONTRAST_DTYPE; all else is float64. Each contrast layer walks its anchors
 in row blocks, one block of at most CONTRAST_BLOCK_BYTES at a time,
 overwritten in place from the logits to the unnormalized softmax. The
 similarities are never kept: the gradient needs only m x d products with
@@ -38,9 +38,12 @@ from .model import side_by_side, spmm_pair
 from .model import spmm, spmm_t
 
 MAX_NEG_TRIES = 100
-# bytes of one block of contrast logits in the run's precision, anchor rows x
-# all m members; each of the two threads holds one block at a time
+# bytes of one block of contrast logits in CONTRAST_DTYPE, anchor rows x all
+# m members; each of the two threads holds one block at a time
 CONTRAST_BLOCK_BYTES = 64 << 20
+# the dtype of the contrast's member rows and m x m blocks; the gradient
+# checks set float64, since central differences cannot resolve a float32 loss
+CONTRAST_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -265,9 +268,9 @@ def loss_and_grads(
                 hu, hv = next_state(trace.pre_z_user[t - 1], hu), next_state(trace.pre_z_item[t - 1], hv)
             pre_g[0].append(svd_propagate(svd, hv, "user")[members[0]])
             pre_g[1].append(svd_propagate(svd, hu, "item")[members[1]])
-        # each side's (a_layers, b_layers): the member rows of both views, in the contrast's precision
+        # each side's (a_layers, b_layers): the member rows of both views, in CONTRAST_DTYPE
         rows = [
-            [[leaky_relu(x).astype(hp.precision, copy=False) for x in xs] for xs in ([z[mem] for z in zs], gs)]
+            [[leaky_relu(x).astype(CONTRAST_DTYPE, copy=False) for x in xs] for xs in ([z[mem] for z in zs], gs)]
             for mem, zs, gs in zip(members, (trace.pre_z_user, trace.pre_z_item), pre_g)
         ]
         sides = [(mem, pre_gs, *res) for mem, pre_gs, res in zip(members, pre_g, _contrast(rows, hp.temperature))]

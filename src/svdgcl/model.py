@@ -35,7 +35,6 @@ _RULES = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "a non-empty list of positive ints": lambda ks: len(ks) > 0 and min(ks) >= 1,
     "'in-batch' or 'full-population'": lambda v: v in ("in-batch", "full-population"),
-    "'float32' or 'float64'": lambda v: v in ("float32", "float64"),
 }
 
 
@@ -104,8 +103,6 @@ class HyperParams:
     epochs: int = knob(200, "non-negative")
     seed: int = knob(42, "non-negative")
     cl_scope: str = knob("in-batch", "'in-batch' or 'full-population'")
-    # the dtype of the contrast's m x m blocks; float64 is the gradient oracle
-    precision: str = knob("float32", "'float32' or 'float64'")
 
     def __post_init__(self):
         for f in fields(self):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
+from svdgcl import losses
 from svdgcl.datasets import locate_movielens_100k, prepare_movielens_100k
 from svdgcl.harness import RunConfig, run_training
 from svdgcl.interactions import (
@@ -119,14 +120,15 @@ def test_criterion_02_factored_propagation_equivalence(capsys):
     announce(capsys, 2, ok, f"100 instances, worst abs diff={worst:.3e} (bound 1e-10)")
 
 
-def test_criterion_03_gradient_correctness(capsys):
+def test_criterion_03_gradient_correctness(capsys, monkeypatch):
     t0 = time.perf_counter()
+    # central differences cannot resolve a loss whose contrast ran in float32
+    monkeypatch.setattr(losses, "CONTRAST_DTYPE", np.float64)
     ds = tiny_4x5_dataset()
     a = normalize_adjacency(build_adjacency(ds))
-    # central differences cannot resolve a loss whose contrast ran in float32
     hp = HyperParams(
         embed_dim=3, layers=2, svd_rank=2, dropout_p=0.25,
-        lambda1=0.2, lambda2=1e-5, seed=420, precision="float64",
+        lambda1=0.2, lambda2=1e-5, seed=420,
     )
     state = init_model(ds, hp)
     svd = approx_svd(a, hp.svd_rank, oversample=2, power_iters=2, seed=0)

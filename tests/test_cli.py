@@ -21,7 +21,7 @@ TRAIN_FIELDS = (
     "train_path", "test_path", "val_path", "embed_dim", "layers", "svd_rank", "dropout_p",
     "temperature", "lambda1", "lambda2", "learning_rate", "batch_size", "epochs", "seed",
     "cl_scope", "eval_every", "eval_ks", "checkpoint_dir", "log_path", "svd_oversample",
-    "svd_power_iters", "val_fraction", "patience", "precision",
+    "svd_power_iters", "val_fraction", "patience",
 )
 
 
@@ -138,7 +138,7 @@ class TestTrainEvalCommands:
         sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         flags = {s for a in sub.choices["train"]._actions for s in a.option_strings} - {"-h", "--help", "--config"}
         assert flags == {"--" + name.replace("_", "-") for name in TRAIN_FIELDS}
-        assert len(flags) == 24
+        assert len(flags) == 23
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run(["train", "--mystery-knob", "9"]) == 1

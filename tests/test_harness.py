@@ -128,7 +128,7 @@ class TestRunConfig:
 
     def test_default_digest_pinned(self):
         # default-config checkpoints carry this digest in their bytes
-        assert RunConfig().digest() == "1d5a2fc3c67fb6e401aa7b5ffca82ec70a5eb1d493f967712cccdb432507f887"
+        assert RunConfig().digest() == "553e631d82357621e46e250260b773fbbb55013114b815575e70af703720440f"
 
     def test_from_sources_rejects_unknowns_and_junk(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -185,8 +185,6 @@ def _valid_values(name):
         return reals | (st.integers(1, 100) if high is None else st.just(0))
     if name == "cl_scope":
         return st.sampled_from(["in-batch", "full-population"])
-    if name == "precision":
-        return st.sampled_from(["float32", "float64"])
     if name == "eval_ks":
         return st.lists(st.integers(1, 100), min_size=1, max_size=4)
     return st.text("abc/._-", max_size=8) | st.sampled_from(["none", "NULL"])
@@ -203,7 +201,7 @@ def _bad_values(name):
         below = st.floats(max_value=low, exclude_max=name not in _POSITIVE, allow_nan=False)
         above = st.floats(min_value=high, allow_nan=False) if high is not None else st.nothing()
         return st.booleans() | st.sampled_from([float("nan"), float("inf"), "1e400"]) | _JUNK | below | above
-    if name in ("cl_scope", "precision"):
+    if name == "cl_scope":
         return _JUNK | st.booleans()
     return st.sampled_from([[], [0], [True], [2.5], [float("nan")], "soon", "0,5"])
 
@@ -417,8 +415,7 @@ class TestOneBlasThread:
             with harness._one_blas_thread():
                 raise RuntimeError("inside the block")
 
-    @pytest.mark.parametrize("precision", [[], ["--precision=float64"]], ids=["default", "float64"])
-    def test_bytes_do_not_depend_on_openblas_num_threads(self, tmp_path, precision):
+    def test_bytes_do_not_depend_on_openblas_num_threads(self, tmp_path):
         # on this shape the two counts gave different checkpoints while runs
         # used the environment's count; each child picks its own count, so
         # this process's stays as it is
@@ -429,7 +426,7 @@ class TestOneBlasThread:
             argv = [
                 "train", f"--train-path={paths['train']}", f"--test-path={paths['test']}",
                 f"--val-path={paths['val']}", f"--checkpoint-dir={out}", f"--log-path={out / 'run.log'}",
-                "--epochs=2", "--eval-every=1", "--eval-ks=5", "--batch-size=512", *precision,
+                "--epochs=2", "--eval-every=1", "--eval-ks=5", "--batch-size=512",
             ]
             subprocess.run(
                 [sys.executable, "-m", "svdgcl"] + argv, env={**src_env(), "OPENBLAS_NUM_THREADS": threads},

@@ -383,7 +383,7 @@ def loss_and_grads_carried_view(trace, batch, state, hp, svd, kept):
     the global view: each layer's full view tables pre_g, read here from
     kept, the output of forward_keeping_lists(..., with_global_view=True)
     with the trace's masks. Everything else comes from the trace. Its
-    contrast runs in float64, as loss_and_grads does at precision float64."""
+    contrast runs in float64, as loss_and_grads does with CONTRAST_DTYPE float64."""
     with_view = hp.lambda1 > 0
     sides = []
     pre_g = (kept["pre_g_user"], kept["pre_g_item"])
