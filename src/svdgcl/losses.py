@@ -252,7 +252,8 @@ def loss_and_grads(
     gradient walks the residual stack top-down: each running state
     collects its direct share of the final sum, the residual carry, the
     graph-propagated term from the opposite side, and (when the contrast
-    is active) the global view's term.
+    is active) the global view's term. Only the contrast's m x m blocks
+    run in CONTRAST_DTYPE; the report and the gradients are float64.
     """
     # per side, user then item: members, view rows, contrast loss, each layer's (ga, gb)
     sides = []
